@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import MarchingConfig, RadioSpec, Swarm
+from repro import MarchingConfig, MarchingPlanner, RadioSpec, Swarm
 from repro.foi import m1_base, m2_scenario1, m2_scenario3, m2_scenario2
-from repro.marching import MissionPlanner
+from repro.metrics import connectivity_report, stable_link_ratio
+
+RESOLUTION = 32  # metric samples per leg
 
 
 def main() -> None:
@@ -36,20 +38,33 @@ def main() -> None:
     ]
 
     print(f"Mission start: {swarm.size} robots on {start_foi.name}\n")
-    mission = MissionPlanner(MarchingConfig(method="a"))
-    report = mission.run(swarm, targets, source_foi=start_foi)
-
-    for leg in report.legs:
-        print(f"Leg {leg.index}: -> {leg.target_name}")
-        print(f"  D = {leg.total_distance / 1000:8.1f} km   "
-              f"L = {leg.stable_link_ratio:.3f}   "
-              f"C = {'Y' if leg.globally_connected else 'N'}   "
-              f"escorts = {leg.escort_count}")
+    planner = MarchingPlanner(MarchingConfig(method="a"))
+    total_distance = 0.0
+    all_connected = True
+    source = start_foi
+    # Each leg starts where the last one ended, detouring around the
+    # holes of the FoI it leaves.
+    for index, target in enumerate(targets, start=1):
+        result = planner.plan(swarm, target, source_foi=source)
+        connected = connectivity_report(
+            result.trajectory, radio.comm_range, result.boundary_anchors,
+            RESOLUTION,
+        ).connected
+        ratio = stable_link_ratio(result.links, result.trajectory, RESOLUTION)
+        print(f"Leg {index}: -> {target.name}")
+        print(f"  D = {result.total_distance / 1000:8.1f} km   "
+              f"L = {ratio:.3f}   "
+              f"C = {'Y' if connected else 'N'}   "
+              f"escorts = {result.repair.escort_count}")
+        total_distance += result.total_distance
+        all_connected = all_connected and connected
+        swarm = swarm.with_positions(result.final_positions)
+        source = target
 
     print(f"\nMission complete. Fleet-wide distance: "
-          f"{report.total_distance / 1000:.1f} km; every leg connected: "
-          f"{report.all_connected}; swarm still connected: "
-          f"{report.final_swarm.is_connected()}")
+          f"{total_distance / 1000:.1f} km; every leg connected: "
+          f"{all_connected}; swarm still connected: "
+          f"{swarm.is_connected()}")
 
 
 if __name__ == "__main__":

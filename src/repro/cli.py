@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
+from pathlib import Path
 from typing import Sequence
 
 __all__ = ["main", "build_parser"]
@@ -361,30 +362,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_scenario(args) -> int:
-    from repro.experiments import (
-        DEFAULT_METHODS,
-        format_table,
-        get_scenario,
-        run_scenario,
+def _write(path: str, data: bytes) -> Path:
+    """Write ``data`` to ``path``, creating parent directories."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_bytes(data)
+    return out
+
+
+def _emit(text: str, payload: bytes, output: str | None, passed: bool) -> int:
+    """Finish a result command: print its rendering, write ``payload`` to
+    ``--output`` when given, and exit 0 iff ``passed``."""
+    print(text)
+    if output:
+        print(f"wrote {_write(output, payload)}")
+    return 0 if passed else 1
+
+
+def _render_run(run) -> str:
+    """The D / L / C table of one :class:`~repro.experiments.ScenarioRun`,
+    methods in the run's order."""
+    from repro.experiments import format_table
+
+    rows = [
+        [
+            method,
+            f"{e.total_distance / 1000:.1f} km",
+            f"{e.stable_link_ratio:.3f}",
+            e.connectivity_flag,
+        ]
+        for method, e in run.evaluations.items()
+    ]
+    return (
+        f"Scenario {run.scenario_id} at {run.separation_factor:g}x r_c:\n"
+        + format_table(["method", "D", "L", "C"], rows)
     )
+
+
+def _cmd_scenario(args) -> int:
+    from repro.experiments import get_scenario, run_scenario
 
     run = run_scenario(
         get_scenario(args.scenario_id),
         separation_factor=args.separation,
         foi_target_points=args.points,
     )
-    rows = []
-    for method in DEFAULT_METHODS:
-        e = run.evaluations[method]
-        rows.append([
-            method,
-            f"{e.total_distance / 1000:.1f} km",
-            f"{e.stable_link_ratio:.3f}",
-            e.connectivity_flag,
-        ])
-    print(f"Scenario {args.scenario_id} at {args.separation:g}x r_c:")
-    print(format_table(["method", "D", "L", "C"], rows))
+    print(_render_run(run))
     return 0
 
 
@@ -532,9 +555,9 @@ def _cmd_chaos(args) -> int:
         ChaosConfig,
         chaos_sweep,
         render_chaos,
-        summary_bytes,
     )
     from repro.faults import ARCHETYPES
+    from repro.io import dumps_canonical
 
     archetypes = tuple(args.archetypes or DEFAULT_ARCHETYPES)
     unknown = [a for a in archetypes if a not in ARCHETYPES]
@@ -552,32 +575,29 @@ def _cmd_chaos(args) -> int:
         config=config,
         workers=args.workers,
     )
-    print(render_chaos(summary))
-    if args.output:
-        from pathlib import Path
-
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(summary_bytes(summary))
-        print(f"wrote {out}")
     # Binary-outcome guarantee: a case that is neither recovered nor a
     # typed unrecoverable never reaches this point (it would have
     # raised); exit non-zero only if a recovered case broke C=1.
-    return 0 if summary["summary"]["connected_all"] else 1
+    return _emit(
+        render_chaos(summary),
+        dumps_canonical(summary),
+        args.output,
+        summary["summary"]["connected_all"],
+    )
 
 
 def _cmd_zoo(args) -> int:
     import json as json_module
-    from pathlib import Path
 
+    from repro.errors import ScenarioError
     from repro.experiments.zoo import (
         FAMILIES,
         ZooConfig,
         render_zoo,
         replay_counterexample,
-        summary_bytes,
         zoo_campaign,
     )
+    from repro.io import dumps_canonical
 
     config = ZooConfig(
         robot_count=args.robots,
@@ -608,34 +628,33 @@ def _cmd_zoo(args) -> int:
         return 0 if all_reproduced else 1
 
     families = tuple(FAMILIES) if "all" in args.families else tuple(args.families)
-    unknown = [f for f in families if f not in FAMILIES]
-    if unknown:
-        print(f"error: unknown families {unknown}; valid: {list(FAMILIES)}",
-              file=sys.stderr)
-        return 2
     seeds = tuple(args.seed_list) if args.seed_list else tuple(range(args.seeds))
-    summary = zoo_campaign(
-        families=families,
-        seeds=seeds,
-        config=config,
-        workers=args.workers,
+    try:
+        summary = zoo_campaign(
+            families=families,
+            seeds=seeds,
+            config=config,
+            workers=args.workers,
+        )
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    code = _emit(
+        render_zoo(summary),
+        dumps_canonical(summary),
+        args.output,
+        summary["summary"]["all_pass"],
     )
-    print(render_zoo(summary))
-    if args.output:
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(summary_bytes(summary))
-        print(f"wrote {out}")
     if summary["counterexamples"] and args.counterexamples:
-        ce = Path(args.counterexamples)
-        ce.parent.mkdir(parents=True, exist_ok=True)
-        ce.write_text(
-            json_module.dumps(summary["counterexamples"], indent=2,
-                              sort_keys=True)
+        ce = _write(
+            args.counterexamples,
+            json_module.dumps(
+                summary["counterexamples"], indent=2, sort_keys=True
+            ).encode("utf-8"),
         )
         print(f"wrote {len(summary['counterexamples'])} counterexample(s) "
               f"to {ce}")
-    return 0 if summary["summary"]["all_pass"] else 1
+    return code
 
 
 def _cmd_mission(args) -> int:
@@ -645,9 +664,9 @@ def _cmd_mission(args) -> int:
         mission_campaign,
         missions_passed,
         render_missions,
-        summary_bytes,
     )
     from repro.experiments.zoo import FAMILIES
+    from repro.io import dumps_canonical
     from repro.missions import MOTIONS, MissionConfig
 
     if args.families and "all" in args.families:
@@ -675,15 +694,12 @@ def _cmd_mission(args) -> int:
     except MissionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render_missions(summary))
-    if args.output:
-        from pathlib import Path
-
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(summary_bytes(summary))
-        print(f"wrote {out}")
-    return 0 if missions_passed(summary) else 1
+    return _emit(
+        render_missions(summary),
+        dumps_canonical(summary),
+        args.output,
+        missions_passed(summary),
+    )
 
 
 def _cmd_serve(args) -> int:
@@ -776,21 +792,18 @@ def _cmd_loadgen(args) -> int:
             service_workers=max(1, args.service_workers),
             journal=not args.no_journal,
         )
-    print(render_loadgen(summary))
-    if args.output:
-        from pathlib import Path
-
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(summary_bytes(summary))
-        print(f"wrote {out}")
-    return 0 if loadgen_passed(summary) else 1
+    return _emit(
+        render_loadgen(summary),
+        summary_bytes(summary),
+        args.output,
+        loadgen_passed(summary),
+    )
 
 
 def _cmd_submit(args) -> int:
     import json
 
-    from repro.experiments import format_table
+    from repro.io import scenario_run_from_dict
     from repro.service import ServiceClient
 
     client = ServiceClient(args.host, args.port, retries=args.retries)
@@ -814,32 +827,17 @@ def _cmd_submit(args) -> int:
               file=sys.stderr)
         return 1
     payload = client.result_bytes(job_id)
-    if args.output:
-        from pathlib import Path
-
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_bytes(payload)
-        print(f"wrote {out}")
     document = json.loads(payload)
     runs = document.get("runs")
-    if not isinstance(runs, dict):
-        print(json.dumps(document, indent=2, sort_keys=True))
-        return 0
-    for sid in sorted(runs, key=int):
-        run = runs[sid]
-        rows = [
-            [
-                method,
-                f"{e['total_distance'] / 1000:.1f} km",
-                f"{e['stable_link_ratio']:.3f}",
-                "Y" if e["globally_connected"] else "N",
-            ]
-            for method, e in sorted(run["evaluations"].items())
-        ]
-        print(f"Scenario {sid} at {run['separation_factor']:g}x r_c:")
-        print(format_table(["method", "D", "L", "C"], rows))
-    return 0
+    if isinstance(runs, dict):
+        # Canonical bytes sort the keys, so methods come out sorted.
+        text = "\n".join(
+            _render_run(scenario_run_from_dict(runs[sid]))
+            for sid in sorted(runs, key=int)
+        )
+    else:
+        text = json.dumps(document, indent=2, sort_keys=True)
+    return _emit(text, payload, args.output, True)
 
 
 _COMMANDS = {

@@ -23,9 +23,7 @@ cache (or disable caching entirely) with :func:`activate_cache` /
 from __future__ import annotations
 
 import contextvars
-import os
 import pickle
-import tempfile
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -181,7 +179,7 @@ class DiskStore:
     def sweep_tmp(self) -> int:
         """Remove orphaned ``*.tmp`` files; returns how many were swept.
 
-        A writer killed between ``mkstemp`` and ``os.replace`` leaves a
+        A writer killed inside :func:`repro.io.atomic_write` leaves a
         temp file that no reader will ever resolve - harmless for
         correctness, but it leaks disk forever on a long-lived journal
         or cache directory.
@@ -213,21 +211,17 @@ class DiskStore:
             return None
 
     def put(self, key: str, value: Any) -> None:
+        # Imported here: repro.io pulls in the planner, which imports
+        # this module.
+        from repro.io import atomic_write
+
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                if self.fsync:
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            os.replace(tmp, path)
+            atomic_write(path, data, fsync=self.fsync)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            pass  # a failed cache write is only a future miss
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*/*.pkl"))

@@ -344,5 +344,18 @@ def parallel_map(
     workers: int | None = None,
     **kwargs: Any,
 ) -> list[Any]:
-    """One-shot convenience wrapper around :class:`ParallelMap`."""
+    """The campaigns' one fan-out: inline for one worker or item, else pooled.
+
+    With ``workers`` (``None`` reads ``REPRO_WORKERS``) at most 1, or at
+    most one item, this is a bare ``[fn(item) for item in items]`` - no
+    ``exec.map`` span, no per-task seeding, no private tracer - so spans
+    and metrics land on the caller's ambient registry exactly as a
+    direct call would.  Otherwise the items go through
+    :class:`ParallelMap` (``kwargs`` are its options); both paths return
+    the same results in input order.
+    """
+    items = list(items)
+    workers = resolve_workers(workers)
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     return ParallelMap(backend=backend, workers=workers, **kwargs).map(fn, items)

@@ -4,8 +4,8 @@
 resilient executor of :mod:`repro.faults` over a matrix of scenario
 shapes and fault archetypes.  Every case is fully determined by its
 ``(scenario, archetype, seed)`` triple - the summary document is
-byte-identical across runs and worker counts, which the smoke script
-asserts by comparing :func:`repro.io.dumps_canonical` bytes.
+byte-identical across runs and worker counts, which ``scripts/smoke.py
+chaos`` asserts by comparing :func:`repro.io.dumps_canonical` bytes.
 
 The sweep reuses the paper's scenario FoI shapes at a reduced robot
 count so a full matrix stays CI-sized (each case plans, injects and
@@ -15,16 +15,15 @@ full-scale runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 from repro.coverage import LloydConfig
 from repro.errors import UnrecoverableError
-from repro.exec import ParallelMap, resolve_workers
+from repro.exec import parallel_map, resolve_workers
 from repro.experiments.scenarios import get_scenario
 from repro.experiments.tables import format_table
 from repro.faults import build_archetype_schedule, execute_with_faults
-from repro.io import dumps_canonical
 from repro.marching import MarchingConfig, MarchingPlanner
 from repro.marching.result import MarchingResult
 from repro.obs import span
@@ -38,7 +37,6 @@ __all__ = [
     "chaos_sweep",
     "render_chaos",
     "run_chaos_case",
-    "summary_bytes",
 ]
 
 DEFAULT_SCENARIOS = (1, 2, 4)
@@ -163,7 +161,7 @@ def run_chaos_case(
 
 
 def _chaos_task(task) -> dict[str, Any]:
-    """Module-level (picklable) worker task for :class:`ParallelMap`."""
+    """Module-level (picklable) worker task for :func:`parallel_map`."""
     case, config = task
     return run_chaos_case(case, config)
 
@@ -180,7 +178,8 @@ def chaos_sweep(
 
     Returns a plain-JSON dict with one entry per case (in deterministic
     matrix order) plus aggregate counts.  Identical for any ``workers``
-    count; serialize with :func:`summary_bytes` to compare runs.
+    count; serialize with :func:`repro.io.dumps_canonical` to compare
+    runs.
     """
     config = config or ChaosConfig()
     cases = [
@@ -191,11 +190,12 @@ def chaos_sweep(
     ]
     workers = resolve_workers(workers)
     with span("chaos.sweep", cases=len(cases), workers=workers):
-        if workers > 1 and len(cases) > 1:
-            engine = ParallelMap(backend=backend, workers=workers)
-            docs = engine.map(_chaos_task, [(c, config) for c in cases])
-        else:
-            docs = [run_chaos_case(c, config) for c in cases]
+        docs = parallel_map(
+            _chaos_task,
+            [(c, config) for c in cases],
+            backend=backend,
+            workers=workers,
+        )
 
     recovered = [d for d in docs if d["outcome"] == "recovered"]
     unrecoverable = [d for d in docs if d["outcome"] == "unrecoverable"]
@@ -214,13 +214,7 @@ def chaos_sweep(
         ),
     }
     return {
-        "config": {
-            "robot_count": config.robot_count,
-            "separation_factor": config.separation_factor,
-            "foi_target_points": config.foi_target_points,
-            "grid_target": config.grid_target,
-            "resolution": config.resolution,
-        },
+        "config": asdict(config),
         "matrix": {
             "scenarios": list(scenario_ids),
             "archetypes": list(archetypes),
@@ -229,11 +223,6 @@ def chaos_sweep(
         "cases": docs,
         "summary": aggregates,
     }
-
-
-def summary_bytes(summary: dict[str, Any]) -> bytes:
-    """Canonical bytes of a sweep summary (for byte-identity checks)."""
-    return dumps_canonical(summary)
 
 
 def render_chaos(summary: dict[str, Any]) -> str:

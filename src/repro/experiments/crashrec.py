@@ -21,8 +21,10 @@ checkpoint-and-release at its epoch boundary (an ``interrupted``
 event), the process must exit 0, and the restarted server must still
 finish the mission byte-identically.
 
-Used by ``scripts/crash_smoke.py`` (the CI gate) and the crash-recovery
-pytest e2e tests.
+Used by ``scripts/smoke.py crash`` (the ``crash`` entry of the CI
+``smoke`` job) and the crash-recovery pytest e2e tests; the smoke
+runner's ``service`` and ``load`` checks boot their servers through
+:func:`boot_server` too.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "boot_server",
     "crashrec_passed",
     "expected_mission_bytes",
+    "graceful_shutdown",
     "render_crashrec",
     "run_crashrec",
 ]
@@ -134,20 +137,27 @@ def expected_mission_bytes(config: CrashRecConfig) -> bytes:
     return dumps_canonical(document)
 
 
-def boot_server(journal_dir: str, config: CrashRecConfig) -> subprocess.Popen:
-    """Start ``repro serve --journal-dir`` and wait for its banner.
+def boot_server(
+    journal_dir: str | None, config: CrashRecConfig
+) -> subprocess.Popen:
+    """Start ``repro serve`` on an ephemeral port and wait for its banner.
 
-    Returns the process with ``.port`` (the bound ephemeral port) and
-    ``.recovery_banner`` (the journal replay line, ``""`` on a cold
-    journal directory) attached.
+    ``config`` supplies the shard and dispatcher counts; with a
+    ``journal_dir`` the server runs on that write-ahead journal
+    (``--journal-dir``), without one it keeps no journal.  Returns the
+    process with ``.port`` (the bound ephemeral port) and
+    ``.recovery_banner`` (the journal replay line, ``""`` on a cold or
+    absent journal directory) attached.  Stop it with
+    :func:`graceful_shutdown`.
     """
+    journal = ["--journal-dir", journal_dir] if journal_dir else []
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
             "--port", "0",
             "--workers", str(config.dispatchers),
             "--service-workers", str(config.service_workers),
-            "--journal-dir", journal_dir,
+            *journal,
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
@@ -199,7 +209,12 @@ def _stream_until_kill(
     return seen
 
 
-def _graceful_shutdown(proc: subprocess.Popen, timeout: float = 60.0) -> int:
+def graceful_shutdown(proc: subprocess.Popen, timeout: float = 60.0) -> int:
+    """SIGINT a :func:`boot_server` process; returns its exit code.
+
+    Raises :class:`~repro.errors.ServiceError` (after a SIGKILL) when
+    the server has not exited within ``timeout`` seconds.
+    """
     proc.send_signal(signal.SIGINT)
     try:
         proc.wait(timeout=timeout)
@@ -305,7 +320,7 @@ def run_crashrec(
         ),
         None,
     )
-    final_exit = _graceful_shutdown(proc2)
+    final_exit = graceful_shutdown(proc2)
 
     summary = {
         "format_version": 1,
@@ -333,11 +348,10 @@ def run_crashrec(
     return summary
 
 
-def render_crashrec(summary: dict[str, Any]) -> str:
-    """Human-readable one-case report (the smoke script's output)."""
+def _checks(summary: dict[str, Any]) -> list[tuple[str, bool]]:
+    """The case's named pass/fail checks (rendered, and ANDed for the verdict)."""
     canonical = summary["canonical"]
     timing = summary["timing"]
-    recovery = timing.get("recovery") or {}
     checks = [
         ("zero lost acknowledged jobs", canonical["zero_lost_acked"]),
         ("mission document byte-identical", canonical["mission_byte_identical"]),
@@ -349,6 +363,13 @@ def render_crashrec(summary: dict[str, Any]) -> str:
             ("drain announced on SSE", timing["drain_announced"]),
             ("mission checkpoint-released", timing["interrupted_event"]),
         ])
+    return checks
+
+
+def render_crashrec(summary: dict[str, Any]) -> str:
+    """Human-readable one-case report (the smoke runner's output)."""
+    canonical = summary["canonical"]
+    recovery = summary["timing"].get("recovery") or {}
     lines = [
         f"crashrec [{summary['signal']}] seed={summary['config']['seed']} "
         f"kill_epoch={summary['config']['kill_epoch']}: "
@@ -363,24 +384,11 @@ def render_crashrec(summary: dict[str, Any]) -> str:
         f"{recovery.get('jobs_retried', 0)} retried)",
     ]
     lines.extend(
-        f"  [{'ok' if ok else 'FAIL'}] {name}" for name, ok in checks
+        f"  [{'ok' if ok else 'FAIL'}] {name}" for name, ok in _checks(summary)
     )
     return "\n".join(lines)
 
 
 def crashrec_passed(summary: dict[str, Any]) -> bool:
-    """The case's overall verdict."""
-    canonical = summary["canonical"]
-    timing = summary["timing"]
-    verdict = (
-        canonical["zero_lost_acked"]
-        and canonical["mission_byte_identical"]
-        and timing["restart_exit_code"] == 0
-    )
-    if summary["signal"] == "SIGTERM":
-        verdict = verdict and (
-            timing["crash_exit_code"] == 0
-            and timing["drain_announced"]
-            and timing["interrupted_event"]
-        )
-    return verdict
+    """The case's overall verdict: every check holds."""
+    return all(ok for _, ok in _checks(summary))

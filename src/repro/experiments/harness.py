@@ -21,7 +21,7 @@ import numpy as np
 from repro.baselines import direct_translation_plan, hungarian_plan
 from repro.coverage.lattice import optimal_coverage_positions
 from repro.coverage.lloyd import LloydConfig
-from repro.exec import ParallelMap, resolve_workers
+from repro.exec import parallel_map
 from repro.experiments.scenarios import ScenarioSpec
 from repro.marching import MarchingConfig, MarchingPlanner
 from repro.metrics import (
@@ -280,7 +280,7 @@ def _sweep_point_from_run(run: ScenarioRun) -> SweepPoint:
 
 
 def _scenario_task(task) -> ScenarioRun:
-    """One ``run_scenario`` call, shaped for :class:`ParallelMap`.
+    """One ``run_scenario`` call, shaped for :func:`parallel_map`.
 
     Module-level (hence picklable) so the process backend can ship it;
     ``task`` is ``(spec, separation, methods, run_kwargs)``.
@@ -290,7 +290,7 @@ def _scenario_task(task) -> ScenarioRun:
 
 
 def _sweep_task(task) -> "SweepResult":
-    """One whole-scenario sweep, shaped for :class:`ParallelMap`."""
+    """One whole-scenario sweep, shaped for :func:`parallel_map`."""
     spec, separation_factors, methods, run_kwargs = task
     return sweep_separations(
         spec, separation_factors, methods, workers=1, **run_kwargs
@@ -319,16 +319,15 @@ def sweep_separations(
     backend : str
         :class:`repro.exec.ParallelMap` backend for ``workers > 1``.
     """
-    workers = resolve_workers(workers)
-    seps = list(separation_factors)
-    if workers > 1 and len(seps) > 1:
-        engine = ParallelMap(backend=backend, workers=workers)
-        runs = engine.map(
-            _scenario_task,
-            [(spec, sep, tuple(methods), dict(run_kwargs)) for sep in seps],
-        )
-    else:
-        runs = [run_scenario(spec, sep, methods, **run_kwargs) for sep in seps]
+    runs = parallel_map(
+        _scenario_task,
+        [
+            (spec, sep, tuple(methods), dict(run_kwargs))
+            for sep in separation_factors
+        ],
+        backend=backend,
+        workers=workers,
+    )
     return SweepResult(
         scenario_id=spec.scenario_id,
         points=[_sweep_point_from_run(run) for run in runs],
@@ -352,21 +351,15 @@ def run_scenarios(
         any ``workers`` count.
     """
     specs = list(specs)
-    workers = resolve_workers(workers)
-    if workers > 1 and len(specs) > 1:
-        engine = ParallelMap(backend=backend, workers=workers)
-        runs = engine.map(
-            _scenario_task,
-            [
-                (spec, separation_factor, tuple(methods), dict(run_kwargs))
-                for spec in specs
-            ],
-        )
-    else:
-        runs = [
-            run_scenario(spec, separation_factor, methods, **run_kwargs)
+    runs = parallel_map(
+        _scenario_task,
+        [
+            (spec, separation_factor, tuple(methods), dict(run_kwargs))
             for spec in specs
-        ]
+        ],
+        backend=backend,
+        workers=workers,
+    )
     return {spec.scenario_id: run for spec, run in zip(specs, runs)}
 
 
@@ -379,20 +372,12 @@ def sweep_many(
     **run_kwargs,
 ) -> list[SweepResult]:
     """Full sweeps for several scenarios, one worker task per scenario."""
-    specs = list(specs)
-    workers = resolve_workers(workers)
-    if workers > 1 and len(specs) > 1:
-        engine = ParallelMap(backend=backend, workers=workers)
-        return engine.map(
-            _sweep_task,
-            [
-                (spec, tuple(separation_factors), tuple(methods), dict(run_kwargs))
-                for spec in specs
-            ],
-        )
-    return [
-        sweep_separations(
-            spec, separation_factors, methods, workers=1, **run_kwargs
-        )
-        for spec in specs
-    ]
+    return parallel_map(
+        _sweep_task,
+        [
+            (spec, tuple(separation_factors), tuple(methods), dict(run_kwargs))
+            for spec in specs
+        ],
+        backend=backend,
+        workers=workers,
+    )

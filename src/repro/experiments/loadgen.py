@@ -498,6 +498,37 @@ def summary_bytes(summary: dict[str, Any]) -> bytes:
     })
 
 
+def _checks(summary: dict[str, Any]) -> list[tuple[str, bool]]:
+    """The run's named pass/fail checks (rendered, and ANDed for the verdict)."""
+    canonical = summary["canonical"]
+    checks = [
+        ("all clients completed", canonical["all_clients_completed"]),
+        ("zero 5xx", canonical["zero_5xx"]),
+        ("429 Retry-After correct", canonical["retry_after_correct"]),
+        ("dedup exact", canonical["dedup_exact"]),
+        ("results byte-identical", canonical["results_byte_identical"]),
+    ]
+    drain = summary.get("drain") or {}
+    if drain:
+        checks.append((
+            "drain graceful",
+            bool(
+                drain.get("draining_announced")
+                and drain.get("rejects_new_work")
+            ),
+        ))
+    recovery = summary.get("recovery") or {}
+    if recovery:
+        # A drained fleet's journal restores every unique job terminal
+        # - a requeue here means a completed job's durability was lost.
+        checks.append((
+            "restart recovery clean",
+            recovery.get("jobs_requeued", 0) == 0
+            and recovery.get("jobs_restored", 0) >= canonical["uniques"],
+        ))
+    return checks
+
+
 def render_loadgen(summary: dict[str, Any]) -> str:
     """Human-readable report of one load run (the CLI's output)."""
     from repro.experiments.tables import format_table
@@ -518,31 +549,8 @@ def render_loadgen(summary: dict[str, Any]) -> str:
     table = format_table(
         ["endpoint", "n", "p50 ms", "p95 ms", "p99 ms", "max ms"], rows
     )
-    checks = [
-        ("all clients completed", canonical["all_clients_completed"]),
-        ("zero 5xx", canonical["zero_5xx"]),
-        ("429 Retry-After correct", canonical["retry_after_correct"]),
-        ("dedup exact", canonical["dedup_exact"]),
-        ("results byte-identical", canonical["results_byte_identical"]),
-    ]
-    drain = summary.get("drain") or {}
-    if drain:
-        checks.append((
-            "drain graceful",
-            bool(
-                drain.get("draining_announced")
-                and drain.get("rejects_new_work")
-            ),
-        ))
-    recovery = summary.get("recovery") or {}
-    if recovery:
-        checks.append((
-            "restart recovery clean",
-            recovery.get("jobs_requeued", 0) == 0
-            and recovery.get("jobs_restored", 0) >= canonical["uniques"],
-        ))
     check_lines = "\n".join(
-        f"  [{'ok' if ok else 'FAIL'}] {name}" for name, ok in checks
+        f"  [{'ok' if ok else 'FAIL'}] {name}" for name, ok in _checks(summary)
     )
     header = (
         f"loadgen: {canonical['clients']} clients "
@@ -551,6 +559,7 @@ def render_loadgen(summary: dict[str, Any]) -> str:
         f"{timing['rejected_429']} x 429) in {timing['elapsed_s']:.2f}s "
         f"({timing['throughput_rps']:.1f} req/s)"
     )
+    recovery = summary.get("recovery") or {}
     if recovery:
         header += (
             f"\nrestart: {recovery.get('jobs_restored', 0)} jobs restored "
@@ -568,26 +577,5 @@ def render_loadgen(summary: dict[str, Any]) -> str:
 
 
 def loadgen_passed(summary: dict[str, Any]) -> bool:
-    """The run's overall verdict (the CLI's exit code)."""
-    canonical = summary["canonical"]
-    verdict = (
-        canonical["all_clients_completed"]
-        and canonical["zero_5xx"]
-        and canonical["retry_after_correct"]
-        and canonical["dedup_exact"]
-        and canonical["results_byte_identical"]
-    )
-    drain = summary.get("drain") or {}
-    if drain:
-        verdict = verdict and bool(
-            drain.get("draining_announced") and drain.get("rejects_new_work")
-        )
-    recovery = summary.get("recovery") or {}
-    if recovery:
-        # A drained fleet's journal restores every unique job terminal
-        # - a requeue here means a completed job's durability was lost.
-        verdict = verdict and (
-            recovery.get("jobs_requeued", 0) == 0
-            and recovery.get("jobs_restored", 0) >= canonical["uniques"]
-        )
-    return verdict
+    """The run's overall verdict (the CLI's exit code): every check holds."""
+    return all(ok for _, ok in _checks(summary))

@@ -24,9 +24,9 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.errors import MissionError
-from repro.exec import ParallelMap, resolve_workers
+from repro.exec import parallel_map, resolve_workers
 from repro.experiments.tables import format_table
-from repro.io import canonical_digest, dumps_canonical
+from repro.io import canonical_digest
 from repro.obs import span
 
 # NOTE: repro.missions is imported inside functions - this module is
@@ -40,7 +40,6 @@ __all__ = [
     "missions_passed",
     "render_missions",
     "run_mission_cell",
-    "summary_bytes",
 ]
 
 #: default family subset - one compact, one elongated, one holed FoI,
@@ -93,7 +92,7 @@ def run_mission_cell(
 
 
 def _mission_task(task) -> dict[str, Any]:
-    """Module-level (picklable) worker task for :class:`ParallelMap`."""
+    """Module-level (picklable) worker task for :func:`parallel_map`."""
     spec, config = task
     return run_mission_cell(spec, config)
 
@@ -111,8 +110,10 @@ def mission_campaign(
 
     Identical output for any ``workers`` count: every mission scopes
     its own metrics and cache, so fan-out order cannot leak into the
-    rows.  Serialize with :func:`summary_bytes` for byte-identity
-    comparisons across runs and worker counts.
+    rows.  Serialize with :func:`repro.io.dumps_canonical` for
+    byte-identity comparisons across runs and worker counts.  Raises
+    :class:`MissionError` on an unknown family or motion or an empty
+    matrix - a campaign of zero missions proves nothing.
     """
     from repro.experiments.zoo.families import FAMILIES
     from repro.missions import MOTIONS, MissionConfig, MissionSpec
@@ -135,13 +136,19 @@ def mission_campaign(
         for motion in motions
         for seed in seeds
     ]
+    if not specs:
+        raise MissionError(
+            f"empty mission matrix: families {list(families)} x motions "
+            f"{list(motions)} x seeds {list(seeds)} has no cells"
+        )
     workers = resolve_workers(workers)
     with span("mission.campaign", cells=len(specs), workers=workers):
-        if workers > 1 and len(specs) > 1:
-            engine = ParallelMap(backend=backend, workers=workers)
-            rows = engine.map(_mission_task, [(s, config) for s in specs])
-        else:
-            rows = [run_mission_cell(s, config) for s in specs]
+        rows = parallel_map(
+            _mission_task,
+            [(s, config) for s in specs],
+            backend=backend,
+            workers=workers,
+        )
 
     per_motion: dict[str, Any] = {}
     for motion in motions:
@@ -179,11 +186,6 @@ def mission_campaign(
             ),
         },
     }
-
-
-def summary_bytes(summary: dict[str, Any]) -> bytes:
-    """Canonical bytes of a campaign summary (byte-identity checks)."""
-    return dumps_canonical(summary)
 
 
 def render_missions(summary: dict[str, Any]) -> str:

@@ -14,17 +14,16 @@ from typing import Sequence
 
 from repro.experiments.harness import DEFAULT_METHODS, ScenarioRun, run_scenarios
 from repro.experiments.scenarios import SCENARIOS, get_scenario
+from repro.experiments.tables import format_table, render_table1
 from repro.obs import Tracer, activate
 
 __all__ = ["build_report", "write_report"]
 
 
-def _md_table(headers: Sequence[str], rows) -> str:
-    lines = ["| " + " | ".join(headers) + " |",
-             "|" + "|".join("---" for _ in headers) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
-    return "\n".join(lines)
+def _section(title: str, intro: str, rendered: str) -> list[str]:
+    """A report section: heading, one-paragraph intro, and a campaign's
+    own ``render_*`` output verbatim in a fenced text block."""
+    return ["", f"## {title}", "", intro, "", "```text", rendered, "```"]
 
 
 def build_report(
@@ -59,30 +58,26 @@ def build_report(
     the metric tables are identical for any worker count (the timing
     table, like any wall-clock measurement, varies run to run).
 
-    With ``chaos=True`` the report appends a resilience section: a
-    seeded fault-archetype sweep (:mod:`repro.experiments.chaos`) and
-    its recovery metrics.
+    Each optional campaign section embeds that campaign's own CLI
+    rendering (the same text its subcommand prints) in a fenced block:
 
-    With ``zoo=True`` the report appends a scenario-zoo section: a
-    procedural-FoI invariant campaign (:mod:`repro.experiments.zoo`)
-    with a per-family pass/fail table and any replayable
-    counterexample triples.
-
-    With ``missions=True`` the report appends a streaming-replanning
-    section (:mod:`repro.experiments.missions`): seeded missions whose
-    targets drift and deform across epochs, with per-cell replan /
-    cache-hit / C = 1 columns and the campaign's canonical digest.
+    * ``chaos=True`` - a seeded fault-archetype sweep
+      (:func:`repro.experiments.chaos.render_chaos`);
+    * ``zoo=True`` - a procedural-FoI invariant campaign with any
+      replayable counterexample triples
+      (:func:`repro.experiments.zoo.render_zoo`);
+    * ``missions=True`` - seeded missions whose targets drift and
+      deform across epochs, with the campaign's canonical digest
+      (:func:`repro.experiments.missions.render_missions`);
+    * ``load=True`` - a seeded ``load_clients``-strong burst against a
+      fresh ``load_service_workers``-shard in-process fleet, with
+      latency percentiles and the correctness checklist
+      (:func:`repro.experiments.loadgen.render_loadgen`).
 
     With ``scaling=True`` the report appends swarm-size scaling curves
     (:mod:`repro.experiments.scaling`): wall-clock and peak allocation
     per pipeline stage at each size in ``scaling_sizes`` (default
     100 / 1 000 / 10 000).
-
-    With ``load=True`` the report appends a service load-test section
-    (:mod:`repro.experiments.loadgen`): a seeded ``load_clients``-strong
-    burst against a fresh ``load_service_workers``-shard in-process
-    fleet, with per-endpoint latency percentiles and the correctness
-    checklist (zero 5xx, Retry-After, exact dedup, byte-identity).
     """
     ids = sorted(scenario_ids or SCENARIOS)
     tracer = Tracer()
@@ -104,14 +99,9 @@ def build_report(
         "",
         "## Table I - global connectivity",
         "",
-        _md_table(
-            ["Scenario"] + list(methods),
-            [
-                [f"Scenario {sid}"]
-                + [runs[sid].evaluations[m].connectivity_flag for m in methods]
-                for sid in ids
-            ],
-        ),
+        "```text",
+        render_table1(runs, list(methods)),
+        "```",
         "",
         "## Per-scenario metrics",
     ]
@@ -122,7 +112,7 @@ def build_report(
             "",
             f"### Scenario {sid}: {spec.description}",
             "",
-            _md_table(
+            format_table(
                 ["method", "D (km)", "D / D_Hungarian", "L", "C"],
                 [
                     [
@@ -134,110 +124,55 @@ def build_report(
                     ]
                     for m in methods
                 ],
+                markdown=True,
             ),
         ])
     if chaos:
-        from repro.experiments.chaos import DEFAULT_SCENARIOS, chaos_sweep
+        from repro.experiments.chaos import (
+            DEFAULT_SCENARIOS,
+            chaos_sweep,
+            render_chaos,
+        )
 
         summary = chaos_sweep(
             scenario_ids=chaos_scenarios or DEFAULT_SCENARIOS,
             seeds=chaos_seeds,
             workers=workers,
         )
-        agg = summary["summary"]
-        parts.extend([
-            "",
-            "## Recovery under failures",
-            "",
+        parts.extend(_section(
+            "Recovery under failures",
             f"Seeded fault sweep over scenarios "
             f"{summary['matrix']['scenarios']} x archetypes "
             f"{summary['matrix']['archetypes']} "
             f"({summary['config']['robot_count']} robots per case): "
-            f"{agg['recovered']}/{agg['cases']} recovered with "
-            f"{agg['replans_total']} replans and "
-            f"{agg['rejoins_total']} escort rejoins; post-replan global "
-            f"connectivity {'held' if agg['connected_all'] else 'VIOLATED'} "
-            "at every sampled instant.",
-            "",
-            _md_table(
-                ["scenario", "archetype", "outcome", "survivors",
-                 "replans", "extra D", "t_recover"],
-                [
-                    [
-                        d["scenario_id"],
-                        d["archetype"],
-                        d["outcome"] if d["outcome"] == "recovered"
-                        else f"unrecoverable ({d['stage']})",
-                        d["survivors"],
-                        d["metrics"]["replan_count"]
-                        if d["outcome"] == "recovered" else "-",
-                        f"{d['metrics']['extra_distance']:.1f}"
-                        if d["outcome"] == "recovered" else "-",
-                        f"{d['metrics']['time_to_recover']:.3f}"
-                        if d["outcome"] == "recovered" else "-",
-                    ]
-                    for d in summary["cases"]
-                ],
-            ),
-        ])
+            "recovery outcome, replans and escort rejoins per case.",
+            render_chaos(summary),
+        ))
     if zoo:
-        from repro.experiments.zoo import FAMILIES, INVARIANTS, zoo_campaign
-        from repro.io import dumps_canonical
+        from repro.experiments.zoo import FAMILIES, render_zoo, zoo_campaign
 
-        families = tuple(zoo_families) if zoo_families else FAMILIES
         zoo_summary = zoo_campaign(
-            families=families,
+            families=tuple(zoo_families) if zoo_families else FAMILIES,
             seeds=tuple(range(zoo_seeds)),
             workers=workers,
         )
-        zagg = zoo_summary["summary"]
-        parts.extend([
-            "",
-            "## Scenario zoo",
-            "",
+        parts.extend(_section(
+            "Scenario zoo",
             f"Procedural invariant campaign over families "
             f"{list(zoo_summary['matrix']['families'])} x seeds "
             f"{list(zoo_summary['matrix']['seeds'])} "
             f"({zoo_summary['config']['robot_count']} robots per case, "
-            f"methods {zoo_summary['config']['methods']}): "
-            f"{zagg['passed']}/{zagg['cases']} cases passed every "
-            "whole-pipeline invariant (C = 1 incl. jump left-limits, "
-            "Lemma-1 distance floor, Definition-2 re-verification of the "
-            "plan document, canonical-byte stability).",
-            "",
-            _md_table(
-                ["family", "cases", "pass", "fail", "err"]
-                + list(INVARIANTS),
-                [
-                    [family, agg["cases"], agg["passed"], agg["failed"],
-                     agg["errors"]]
-                    + [
-                        "ok" if agg["invariant_failures"][n] == 0
-                        else f"{agg['invariant_failures'][n]} FAIL"
-                        for n in INVARIANTS
-                    ]
-                    for family, agg in zoo_summary["families"].items()
-                ],
-            ),
-        ])
-        if zoo_summary["counterexamples"]:
-            parts.extend([
-                "",
-                "Replayable counterexamples (each reproduces "
-                "byte-identically via `python -m repro zoo --replay`):",
-                "",
-            ])
-            for entry in zoo_summary["counterexamples"]:
-                triple = dumps_canonical(
-                    {k: entry[k] for k in ("family", "seed", "params")}
-                ).decode("utf-8")
-                parts.append(f"- `{triple}`")
+            f"methods {zoo_summary['config']['methods']}): C = 1 incl. "
+            "jump left-limits, the Lemma-1 distance floor, Definition-2 "
+            "re-verification and canonical-byte stability per case.",
+            render_zoo(zoo_summary),
+        ))
     if missions:
         from repro.experiments.missions import (
             DEFAULT_FAMILIES,
             mission_campaign,
+            render_missions,
         )
-        from repro.io import canonical_digest
 
         mission_summary = mission_campaign(
             families=tuple(mission_families or DEFAULT_FAMILIES),
@@ -245,45 +180,17 @@ def build_report(
             epochs=mission_epochs,
             workers=workers,
         )
-        magg = mission_summary["summary"]
-        parts.extend([
-            "",
-            "## Streaming missions",
-            "",
+        parts.extend(_section(
+            "Streaming missions",
             f"Seeded replanning campaign over families "
             f"{list(mission_summary['matrix']['families'])} x motions "
             f"{list(mission_summary['matrix']['motions'])} x seeds "
             f"{list(mission_summary['matrix']['seeds'])} "
             f"({mission_summary['config']['robot_count']} robots, "
             f"{mission_summary['matrix']['epochs']} epochs per mission): "
-            f"{magg['passed']}/{magg['cells']} missions held C = 1 at "
-            f"every sampled instant (incl. jump left-limits) across "
-            f"{magg['replans_total']} incremental replans; "
-            f"{magg['cache_hits_total']} translation-canonical disk-map "
-            f"cache hits / {magg['cache_misses_total']} misses.  "
-            f"Canonical digest `{canonical_digest(mission_summary)}` "
-            "(identical for any worker count).",
-            "",
-            _md_table(
-                ["family", "motion", "seed", "outcome", "replans",
-                 "hits", "misses", "C viol", "D (km)"],
-                [
-                    [
-                        cell["family"], cell["motion"], cell["seed"],
-                        f"error@{cell['epoch']}", "-", "-", "-", "-", "-",
-                    ]
-                    if cell["outcome"] == "error" else
-                    [
-                        cell["family"], cell["motion"], cell["seed"],
-                        cell["outcome"], cell["replans"],
-                        cell["cache_hits"], cell["cache_misses"],
-                        cell["c_violations"],
-                        f"{cell['total_distance'] / 1000:.2f}",
-                    ]
-                    for cell in mission_summary["cells"]
-                ],
-            ),
-        ])
+            "C = 1 across incremental replans, and disk-map cache reuse.",
+            render_missions(mission_summary),
+        ))
     if scaling:
         from repro.experiments.scaling import (
             DEFAULT_SIZES,
@@ -309,100 +216,34 @@ def build_report(
     if load:
         from repro.experiments.loadgen import (
             LoadgenConfig,
-            loadgen_passed,
+            render_loadgen,
             run_loadgen_fleet,
         )
-        from repro.io import canonical_digest
 
-        config = LoadgenConfig(clients=load_clients, seed=load_seed)
         load_summary = run_loadgen_fleet(
-            config, service_workers=load_service_workers
+            LoadgenConfig(clients=load_clients, seed=load_seed),
+            service_workers=load_service_workers,
         )
-        canonical = load_summary["canonical"]
-        timing = load_summary["timing"]
-        recovery = load_summary.get("recovery") or {}
-        checks = [
-            ("all clients completed", canonical["all_clients_completed"]),
-            ("zero 5xx", canonical["zero_5xx"]),
-            ("429 Retry-After correct", canonical["retry_after_correct"]),
-            ("dedup exact", canonical["dedup_exact"]),
-            ("results byte-identical", canonical["results_byte_identical"]),
-        ]
-        if recovery:
-            checks.append((
-                "restart recovery clean",
-                recovery.get("jobs_requeued", 0) == 0
-                and recovery.get("jobs_restored", 0) >= canonical["uniques"],
-            ))
-        digest = canonical_digest({
-            "format_version": load_summary["format_version"],
-            "config": load_summary["config"],
-            "canonical": canonical,
-        })
-        parts.extend([
-            "",
-            "## Load testing",
-            "",
-            f"Seeded open-loop burst: {canonical['clients']} clients "
-            f"({canonical['uniques']} unique requests, "
-            f"{canonical['dedup_hits']} dedup hits, "
-            f"{timing['rejected_429']} x 429) against a fresh "
-            f"{load_summary['service_workers']}-shard fleet in "
-            f"{timing['elapsed_s']:.2f}s "
-            f"({timing['throughput_rps']:.1f} req/s); verdict: "
-            f"{'PASS' if loadgen_passed(load_summary) else 'FAIL'}.  "
-            f"Canonical summary digest `{digest}` (identical for any "
-            "worker count).",
-            "",
-            _md_table(
-                ["endpoint", "n", "p50 ms", "p95 ms", "p99 ms", "max ms"],
-                [
-                    [
-                        endpoint,
-                        stats["count"],
-                        f"{stats['p50_ms']:.1f}",
-                        f"{stats['p95_ms']:.1f}",
-                        f"{stats['p99_ms']:.1f}",
-                        f"{stats['max_ms']:.1f}",
-                    ]
-                    for endpoint, stats in timing["endpoints"].items()
-                ],
-            ),
-            "",
-            _md_table(
-                ["check", "result"],
-                [[name, "ok" if ok else "FAIL"] for name, ok in checks],
-            ),
-        ])
-        if recovery:
-            parts.extend([
-                "",
-                "Restart recovery (same journal, fresh fleet): "
-                "jobs resumed and journal replay time.",
-                "",
-                _md_table(
-                    ["jobs restored", "requeued", "retried",
-                     "journal records", "replay (s)"],
-                    [[
-                        recovery.get("jobs_restored", 0),
-                        recovery.get("jobs_requeued", 0),
-                        recovery.get("jobs_retried", 0),
-                        recovery.get("journal_records", 0),
-                        f"{recovery.get('replay_s', 0.0):.3f}",
-                    ]],
-                ),
-            ])
+        parts.extend(_section(
+            "Load testing",
+            f"Seeded open-loop burst against a fresh "
+            f"{load_summary['service_workers']}-shard fleet, then a "
+            "restart on the same journal: latency percentiles and the "
+            "correctness checklist.",
+            render_loadgen(load_summary),
+        ))
     parts.extend([
         "",
         "## Phase timings",
         "",
-        _md_table(
+        format_table(
             ["span", "calls", "total (s)", "mean (ms)"],
             [
                 [name, row["calls"], f"{row['total_s']:.3f}",
                  f"{row['mean_s'] * 1000:.2f}"]
                 for name, row in tracer.phase_timings().items()
             ],
+            markdown=True,
         ),
     ])
     parts.append("")

@@ -10,7 +10,8 @@ of growing size, recording wall-clock seconds and peak allocation
 
 ``python -m repro report --scaling`` appends the resulting curves to
 the reproduction report; ``benchmarks/test_bench_perf_scaling.py`` and
-``scripts/scaling_smoke.py`` assert budgets on them.
+``scripts/smoke.py scaling`` (the ``scaling`` entry of the CI ``smoke``
+job) assert budgets on them.
 """
 
 from __future__ import annotations
@@ -200,17 +201,15 @@ def format_scaling_table(curve: dict) -> str:
     Each cell reads ``seconds / peak-MB``; stages appear in pipeline
     order, sizes ascending.
     """
+    from repro.experiments.tables import format_table
+
     sizes = curve["sizes"]
     by_key = stage_lookup(curve)
     stages: list[str] = []
     for r in curve["rows"]:
         if r["stage"] not in stages:
             stages.append(r["stage"])
-    headers = ["stage"] + [f"n={n}" for n in sizes]
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "|" + "|".join("---" for _ in headers) + "|",
-    ]
+    rows = []
     for stage in stages:
         cells: list[str] = [stage]
         for n in sizes:
@@ -221,5 +220,7 @@ def format_scaling_table(curve: dict) -> str:
                 cells.append(
                     f"{r['seconds']:.3f} s / {r['peak_bytes'] / 1e6:.1f} MB"
                 )
-        lines.append("| " + " | ".join(cells) + " |")
-    return "\n".join(lines)
+        rows.append(cells)
+    return format_table(
+        ["stage"] + [f"n={n}" for n in sizes], rows, markdown=True
+    )

@@ -14,9 +14,15 @@ from repro.experiments.harness import ScenarioRun, SweepResult
 __all__ = ["format_table", "render_sweep", "render_table1"]
 
 
-def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Render rows as a fixed-width text table with a header rule."""
+def format_table(
+    headers: Sequence[str], rows: Iterable[Sequence], markdown: bool = False
+) -> str:
+    """Render rows as a fixed-width text table with a header rule, or as
+    a markdown pipe table with ``markdown=True``."""
     str_rows = [[str(c) for c in row] for row in rows]
+    if markdown:
+        lines = [list(headers), ["---"] * len(headers), *str_rows]
+        return "\n".join("| " + " | ".join(line) + " |" for line in lines)
     widths = [len(h) for h in headers]
     for row in str_rows:
         for i, cell in enumerate(row):

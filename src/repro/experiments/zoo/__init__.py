@@ -14,12 +14,10 @@ from repro.experiments.zoo.campaign import (
     ZooConfig,
     ZooScenario,
     build_zoo_scenario,
-    case_bytes,
     render_zoo,
     replay_counterexample,
     run_zoo_case,
     shrink_case,
-    summary_bytes,
     zoo_campaign,
 )
 from repro.experiments.zoo.families import (
@@ -49,7 +47,6 @@ __all__ = [
     "assert_deployable",
     "build_foi",
     "build_zoo_scenario",
-    "case_bytes",
     "draw_params",
     "family_rng",
     "hole_clearance",
@@ -59,7 +56,6 @@ __all__ = [
     "run_zoo_case",
     "shrink_case",
     "shrink_hole_to_clearance",
-    "summary_bytes",
     "validate_foi",
     "zoo_campaign",
 ]

@@ -34,7 +34,7 @@ import numpy as np
 from repro.baselines.hungarian import matching_cost, min_cost_matching
 from repro.coverage import LloydConfig
 from repro.errors import ReproError, ScenarioError
-from repro.exec import ParallelMap, resolve_workers
+from repro.exec import parallel_map, resolve_workers
 from repro.experiments.tables import format_table
 from repro.experiments.zoo.families import (
     FAMILIES,
@@ -45,7 +45,13 @@ from repro.experiments.zoo.families import (
 )
 from repro.foi.region import FieldOfInterest
 from repro.foi.shapes import radial_blob
-from repro.io import check_format_version, dumps_canonical, result_to_dict, trajectory_from_dict
+from repro.io import (
+    canonical_digest,
+    check_format_version,
+    dumps_canonical,
+    result_to_dict,
+    trajectory_from_dict,
+)
 from repro.marching import MarchingConfig, MarchingPlanner
 from repro.metrics import connectivity_report, stable_link_ratio
 from repro.network.links import LinkTable
@@ -63,7 +69,6 @@ __all__ = [
     "render_zoo",
     "run_zoo_case",
     "shrink_case",
-    "summary_bytes",
     "zoo_campaign",
 ]
 
@@ -394,11 +399,6 @@ def _safe_draw(family: str, seed: int) -> ZooParams | None:
         return None
 
 
-def case_bytes(doc: dict[str, Any]) -> bytes:
-    """Canonical bytes of one case document (replay byte-identity)."""
-    return dumps_canonical(doc)
-
-
 def _failing_invariants(doc: dict[str, Any]) -> list[str]:
     if doc["outcome"] == "error":
         return ["generation"]
@@ -452,7 +452,7 @@ def _counterexample(doc: dict[str, Any]) -> dict[str, Any]:
         "seed": doc["seed"],
         "params": doc.get("params", {}),
         "invariants": _failing_invariants(doc),
-        "case_sha256": hashlib.sha256(case_bytes(doc)).hexdigest(),
+        "case_sha256": canonical_digest(doc),
     }
 
 
@@ -473,10 +473,7 @@ def replay_counterexample(
         raise ScenarioError(f"malformed counterexample entry: {exc}") from exc
     doc = run_zoo_case(ZooCase(family, seed, params=params), config or ZooConfig())
     recorded = entry.get("case_sha256")
-    matches = (
-        recorded is None
-        or hashlib.sha256(case_bytes(doc)).hexdigest() == recorded
-    )
+    matches = recorded is None or canonical_digest(doc) == recorded
     return doc, matches
 
 
@@ -486,7 +483,7 @@ def replay_counterexample(
 
 
 def _zoo_task(task) -> dict[str, Any]:
-    """Module-level (picklable) worker task for :class:`ParallelMap`."""
+    """Module-level (picklable) worker task for :func:`parallel_map`."""
     case, config = task
     return run_zoo_case(case, config)
 
@@ -503,9 +500,11 @@ def zoo_campaign(
     Returns a plain-JSON dict: one case document per cell in
     deterministic matrix order, per-family aggregates, and shrunk
     replayable counterexamples for every failure.  Identical for any
-    ``workers`` count; serialize with :func:`summary_bytes` to compare
-    runs (the digest of every plan document rides along, so the
-    comparison covers plan bytes too).
+    ``workers`` count; serialize with :func:`repro.io.dumps_canonical`
+    to compare runs (the digest of every plan document rides along, so
+    the comparison covers plan bytes too).  Raises
+    :class:`~repro.errors.ScenarioError` on an unknown family or an
+    empty matrix - a campaign of zero cases proves nothing.
     """
     config = config or ZooConfig()
     unknown = [f for f in families if f not in FAMILIES]
@@ -514,13 +513,19 @@ def zoo_campaign(
             f"unknown zoo families {unknown}; valid: {list(FAMILIES)}"
         )
     cases = [ZooCase(family, seed) for family in families for seed in seeds]
+    if not cases:
+        raise ScenarioError(
+            f"empty zoo matrix: families {list(families)} x seeds "
+            f"{list(seeds)} has no cases"
+        )
     workers = resolve_workers(workers)
     with span("zoo.campaign", cases=len(cases), workers=workers):
-        if workers > 1 and len(cases) > 1:
-            engine = ParallelMap(backend=backend, workers=workers)
-            docs = engine.map(_zoo_task, [(c, config) for c in cases])
-        else:
-            docs = [run_zoo_case(c, config) for c in cases]
+        docs = parallel_map(
+            _zoo_task,
+            [(c, config) for c in cases],
+            backend=backend,
+            workers=workers,
+        )
 
         counterexamples = []
         shrunk_runs = 0
@@ -562,11 +567,6 @@ def zoo_campaign(
             "all_pass": all(d["outcome"] == "pass" for d in docs),
         },
     }
-
-
-def summary_bytes(summary: dict[str, Any]) -> bytes:
-    """Canonical bytes of a campaign summary (byte-identity checks)."""
-    return dumps_canonical(summary)
 
 
 def render_zoo(summary: dict[str, Any]) -> str:

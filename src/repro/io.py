@@ -10,6 +10,8 @@ have the trajectory back when it does.
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from pathlib import Path
 from typing import Any
 
@@ -23,6 +25,7 @@ from repro.robots.motion import SwarmTrajectory, TimedPath
 __all__ = [
     "FORMAT_VERSION",
     "SUPPORTED_FORMAT_VERSIONS",
+    "atomic_write",
     "result_to_dict",
     "save_result",
     "load_result_dict",
@@ -102,6 +105,37 @@ def check_journal_version(record: Any, source: Any = None) -> None:
             f"replays versions {list(SUPPORTED_JOURNAL_VERSIONS)} - recover "
             "with a matching library build or discard the journal directory"
         )
+
+
+def atomic_write(path: str | Path, data: bytes, fsync: bool = True) -> None:
+    """Durably replace ``path`` with ``data``: readers see old or new, never torn.
+
+    The bytes go to a ``*.tmp`` file in the target's own directory
+    (fsynced unless ``fsync=False``), which is then renamed over
+    ``path``.  A writer killed mid-write leaves only that ``*.tmp``
+    behind, for :meth:`repro.exec.cache.DiskStore.sweep_tmp` to collect.
+
+    Raises
+    ------
+    OSError
+        When the write or the rename fails; the temp file is removed
+        first.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+            if fsync:
+                fh.flush()
+                os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def dumps_canonical(doc: Any) -> bytes:

@@ -1,7 +1,6 @@
 """The paper's core contribution: the optimal-marching planner."""
 
 from repro.marching.distributed_planner import DistributedMarchingPlanner
-from repro.marching.mission import LegReport, MissionPlanner, MissionReport
 from repro.marching.pipeline import PipelineStages, run_pipeline
 from repro.marching.planner import MarchingConfig, MarchingPlanner
 from repro.marching.repair import repair_targets
@@ -18,12 +17,9 @@ __all__ = [
     "CascadeOutcome",
     "DistributedMarchingPlanner",
     "FailureEvent",
-    "LegReport",
     "MarchingConfig",
     "MarchingPlanner",
     "MarchingResult",
-    "MissionPlanner",
-    "MissionReport",
     "PipelineStages",
     "RepairInfo",
     "ReplanOutcome",

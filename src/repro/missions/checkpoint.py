@@ -27,8 +27,6 @@ sets are one or two disk maps, far below any sane capacity).
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from shutil import rmtree
 from typing import Any
@@ -37,6 +35,7 @@ from repro.exec.cache import ContentCache, DiskStore
 from repro.io import (
     JOURNAL_FORMAT_VERSION,
     SUPPORTED_JOURNAL_VERSIONS,
+    atomic_write,
     canonical_digest,
     dumps_canonical,
 )
@@ -134,20 +133,7 @@ class MissionCheckpoint:
         doc["cache_keys"] = (
             sorted(self._store.allowed) if self._store is not None else []
         )
-        path = self.directory / _STATE_FILE
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(dumps_canonical(doc))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.directory / _STATE_FILE, dumps_canonical(doc))
         get_metrics().counter("mission.checkpoint.saved").inc()
 
     # -- the private mission cache --------------------------------------

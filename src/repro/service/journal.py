@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -38,6 +37,7 @@ from typing import Any, Iterator
 
 from repro.errors import JournalError
 from repro.io import (
+    atomic_write,
     check_journal_version,
     dumps_canonical,
     journal_record,
@@ -294,21 +294,7 @@ class JobJournal:
         that survived a crash always has its payload (or the digest
         check fails and replay re-queues the job).
         """
-        path = self._result_path(job_id)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-                if self.fsync:
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self._result_path(job_id), payload, fsync=self.fsync)
         return hashlib.sha256(payload).hexdigest()
 
     def get_result(self, job_id: str, digest: str | None) -> bytes | None:

@@ -83,6 +83,18 @@ class TestCommands:
         assert (tmp_path / "scenario1_stable_links.svg").exists()
 
 
+class TestEmptyMatrix:
+    """A campaign with zero cells proves nothing: typed error, exit 2."""
+
+    def test_mission_without_seeds_exits_2(self, capsys):
+        assert main(["mission", "--seeds", "0"]) == 2
+        assert "empty mission matrix" in capsys.readouterr().err
+
+    def test_zoo_without_seeds_exits_2(self, capsys):
+        assert main(["zoo", "--seeds", "0", "--families", "corridor"]) == 2
+        assert "empty zoo matrix" in capsys.readouterr().err
+
+
 class TestVersion:
     def test_version_flag_exits_zero(self, capsys):
         from repro import __version__

@@ -10,8 +10,8 @@ from repro.experiments.chaos import (
     chaos_sweep,
     render_chaos,
     run_chaos_case,
-    summary_bytes,
 )
+from repro.io import dumps_canonical
 
 SMALL = ChaosConfig(robot_count=81)
 MATRIX = dict(
@@ -42,16 +42,16 @@ class TestSweep:
                 assert case["stage"]
 
     def test_summary_is_canonical_json(self, sweep):
-        payload = summary_bytes(sweep)
+        payload = dumps_canonical(sweep)
         assert json.loads(payload) == sweep
 
     def test_same_seed_byte_identical(self, sweep):
         again = chaos_sweep(workers=1, **MATRIX)
-        assert summary_bytes(again) == summary_bytes(sweep)
+        assert dumps_canonical(again) == dumps_canonical(sweep)
 
     def test_workers_do_not_change_bytes(self, sweep):
         parallel = chaos_sweep(workers=2, **MATRIX)
-        assert summary_bytes(parallel) == summary_bytes(sweep)
+        assert dumps_canonical(parallel) == dumps_canonical(sweep)
 
     def test_render_mentions_every_case(self, sweep):
         text = render_chaos(sweep)

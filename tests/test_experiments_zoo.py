@@ -15,7 +15,6 @@ from repro.experiments.zoo import (
     assert_deployable,
     build_foi,
     build_zoo_scenario,
-    case_bytes,
     draw_params,
     family_rng,
     hole_clearance,
@@ -24,11 +23,11 @@ from repro.experiments.zoo import (
     replay_counterexample,
     run_zoo_case,
     shrink_hole_to_clearance,
-    summary_bytes,
     validate_foi,
     zoo_campaign,
 )
 from repro.experiments.zoo import campaign as campaign_module
+from repro.io import dumps_canonical
 from repro.foi.shapes import ellipse_polygon, radial_blob
 
 UNIT_CONFIG = ZooConfig(
@@ -178,7 +177,7 @@ class TestScenarioAndCase:
         assert doc["outcome"] in ("pass", "fail", "error")
         for method_doc in doc["methods"].values():
             assert set(method_doc["invariants"]) == set(INVARIANTS)
-        assert case_bytes(doc) == case_bytes(
+        assert dumps_canonical(doc) == dumps_canonical(
             run_zoo_case(ZooCase("corridor", 0), UNIT_CONFIG)
         )
 
@@ -200,7 +199,7 @@ class TestCampaign:
         )
         serial = zoo_campaign(workers=1, backend="serial", **kwargs)
         threaded = zoo_campaign(workers=2, backend="thread", **kwargs)
-        assert summary_bytes(serial) == summary_bytes(threaded)
+        assert dumps_canonical(serial) == dumps_canonical(threaded)
         assert serial["summary"]["all_pass"]
         assert serial["counterexamples"] == []
         for agg in serial["families"].values():

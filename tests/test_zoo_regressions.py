@@ -15,10 +15,10 @@ from repro.experiments.zoo import (
     ZooConfig,
     ZooParams,
     build_foi,
-    case_bytes,
     hole_clearance,
     run_zoo_case,
 )
+from repro.io import dumps_canonical
 
 FAST = ZooConfig(
     robot_count=25, foi_target_points=120, grid_target=400, shrink=False
@@ -94,7 +94,7 @@ class TestPinnedHardInstances:
         # bytes are replay-stable.
         a = run_zoo_case(NEAR_TANGENT_ROUGH, FAST)
         b = run_zoo_case(NEAR_TANGENT_ROUGH, FAST)
-        assert case_bytes(a) == case_bytes(b)
+        assert dumps_canonical(a) == dumps_canonical(b)
         if a["outcome"] == "error":
             for method_doc in a["methods"].values():
                 assert method_doc["stage"] == "plan"
