@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.network.links import LinkTable, links_alive
+from repro.metrics.connectivity import isolated_counts
+from repro.network.links import LinkTable
 from repro.network.udg import UnitDiskGraph
 from repro.robots.motion import SwarmTrajectory
 from repro.viz.chart import LineChart
@@ -36,7 +37,8 @@ class TransitionTrace:
     total_links : (k,) int ndarray
         All links of the instantaneous unit-disk graph.
     isolated : (k,) int ndarray
-        Robots without a path to the boundary anchors (0 when none).
+        Robots without a path to the boundary anchors, per
+        :func:`~repro.metrics.connectivity.isolated_counts`.
     stable_links_running : (k,) int ndarray
         Initial links alive at *every* instant up to and including this
         one - a non-increasing curve whose last value is L's numerator.
@@ -73,34 +75,23 @@ def record_trace(
 ) -> TransitionTrace:
     """Sample a trajectory into a :class:`TransitionTrace`."""
     times = trajectory.sample_times(resolution)
-    table = trajectory.positions_over(times)
-    anchors = (
-        None if boundary_anchors is None else [int(a) for a in boundary_anchors]
-    )
     alive_counts = []
     total_counts = []
-    isolated_counts = []
     running = []
     stable = np.ones(links.link_count, dtype=bool)
-    for snapshot in table:
+    for snapshot in trajectory.positions_over(times):
         alive = links.alive_mask(snapshot)
         stable &= alive
         alive_counts.append(int(alive.sum()))
         running.append(int(stable.sum()))
-        graph = UnitDiskGraph(snapshot, links.comm_range)
-        total_counts.append(len(graph.edges))
-        if anchors is None:
-            comps = graph.components
-            isolated_counts.append(
-                graph.node_count - len(comps[0]) if comps else 0
-            )
-        else:
-            isolated_counts.append(int((~graph.nodes_connected_to(anchors)).sum()))
+        total_counts.append(len(UnitDiskGraph(snapshot, links.comm_range).edges))
     return TransitionTrace(
         times=times,
         initial_links_alive=np.asarray(alive_counts),
         total_links=np.asarray(total_counts),
-        isolated=np.asarray(isolated_counts),
+        isolated=isolated_counts(
+            trajectory, links.comm_range, boundary_anchors, times
+        ),
         stable_links_running=np.asarray(running),
     )
 

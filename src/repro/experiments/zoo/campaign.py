@@ -55,7 +55,6 @@ from repro.io import (
 from repro.marching import MarchingConfig, MarchingPlanner
 from repro.metrics import connectivity_report, stable_link_ratio
 from repro.network.links import LinkTable
-from repro.network.udg import UnitDiskGraph
 from repro.obs import span
 from repro.robots import RadioSpec, Swarm
 
@@ -222,19 +221,10 @@ def _check_connectivity(result, comm_range: float, resolution: int) -> dict[str,
     report = connectivity_report(
         result.trajectory, comm_range, result.boundary_anchors, resolution
     )
-    anchors = [int(a) for a in result.boundary_anchors]
-    left_isolated = 0
-    disc = result.trajectory.discontinuity_times()
-    if len(disc):
-        for snapshot in result.trajectory.positions_over(disc, side="left"):
-            graph = UnitDiskGraph(snapshot, comm_range)
-            reached = graph.nodes_connected_to(anchors)
-            left_isolated = max(left_isolated, int((~reached).sum()))
-    ok = report.connected and left_isolated == 0
     return {
-        "ok": ok,
+        "ok": report.connected,
         "max_isolated": report.max_isolated,
-        "left_limit_isolated": left_isolated,
+        "left_limit_isolated": report.left_limit_isolated,
         "samples": report.samples,
         "first_failure_time": report.first_failure_time,
     }

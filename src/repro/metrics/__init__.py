@@ -4,6 +4,7 @@ from repro.metrics.connectivity import (
     ConnectivityReport,
     connectivity_report,
     global_connectivity,
+    isolated_counts,
 )
 from repro.metrics.energy import (
     EnergyModel,
@@ -36,6 +37,7 @@ __all__ = [
     "connectivity_report",
     "distance_report",
     "global_connectivity",
+    "isolated_counts",
     "stable_link_ratio",
     "stable_link_report",
     "straight_line_lower_bound",

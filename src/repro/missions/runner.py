@@ -35,6 +35,7 @@ from repro.faults.schedule import CrashFault, FaultSchedule
 from repro.io import canonical_digest, mission_document, result_to_dict
 from repro.marching.planner import MarchingPlanner
 from repro.marching.replan import _remap_event_time
+from repro.metrics.connectivity import isolated_counts
 from repro.metrics.stable_links import stable_link_ratio
 from repro.missions.checkpoint import MissionCheckpoint, checkpoint_key
 from repro.missions.diff import plan_diff
@@ -240,7 +241,8 @@ class MissionRunner:
             frac = 1.0 if span_len <= 0 else (t_cut - traj.t_start) / span_len
 
             # -- crash faults landing in this epoch's fraction window --
-            death_time: dict[int, float] = {}  # local robot id -> instant
+            # local robot id -> crash instant (inf: never crashes)
+            alive_until = np.full(len(alive), np.inf)
             recoveries: list[dict[str, Any]] = []
             lo = epoch / spec.epochs
             hi = (epoch + 1) / spec.epochs
@@ -256,11 +258,8 @@ class MissionRunner:
                 )
                 if not failed_local:
                     continue  # every listed robot already died earlier
-                for j in failed_local:
-                    death_time[j] = t_fault
-                present = [
-                    j for j in range(len(alive)) if j not in death_time
-                ]
+                alive_until[failed_local] = t_fault
+                present = np.flatnonzero(np.isinf(alive_until))
                 snapshot = traj.positions_at(t_fault)[present]
                 if len(present) < 4:
                     raise MissionError(
@@ -290,12 +289,28 @@ class MissionRunner:
                 emit("recovery", dict(recovery))
 
             # -- measure the executed window ---------------------------
-            violations, samples = _connectivity_violations(
-                traj, result.boundary_anchors, death_time, config, t_cut
+            # Definition 2 on a uniform grid over [t_start, t_cut] plus
+            # in-window jump left-limits: weaker than connectivity_report
+            # (``resolution`` defaults to 6, no waypoint times), but the
+            # pinned mission documents were measured on exactly this set.
+            ts = np.linspace(traj.t_start, t_cut, max(2, config.resolution))
+            disc = traj.discontinuity_times()
+            disc = disc[(disc > traj.t_start) & (disc <= t_cut)]
+            anchors = result.boundary_anchors
+            right = isolated_counts(
+                traj, config.comm_range, anchors, ts, alive_until=alive_until
             )
+            left = isolated_counts(
+                traj, config.comm_range, anchors, disc, side="left",
+                alive_until=alive_until,
+            )
+            violations = int(np.count_nonzero(right) + np.count_nonzero(left))
+            samples = len(ts) + len(disc)
             distances = traj.distances_between(traj.t_start, t_cut)
-            for j, t_fault in death_time.items():
-                distances[j] = traj.distances_between(traj.t_start, t_fault)[j]
+            for j in np.flatnonzero(np.isfinite(alive_until)):
+                distances[j] = traj.distances_between(
+                    traj.t_start, alive_until[j]
+                )[j]
             executed = float(distances.sum())
             ratio = float(
                 stable_link_ratio(result.links, traj, config.resolution)
@@ -339,9 +354,7 @@ class MissionRunner:
                         "ratio": ratio}
 
             # -- advance to the epoch boundary -------------------------
-            survivors_local = [
-                j for j in range(len(alive)) if j not in death_time
-            ]
+            survivors_local = np.flatnonzero(np.isinf(alive_until))
             positions = traj.positions_at(t_cut)[survivors_local]
             alive = alive[survivors_local]
 
@@ -427,60 +440,13 @@ def _cut_time(
     for k in range(129):
         offset = ((k + 1) // 2) * step * (1 if k % 2 else -1)
         t = min(traj.t_end, max(traj.t_start, base + offset))
-        if UnitDiskGraph(traj.positions_at(t), comm_range).is_connected():
+        if isolated_counts(traj, comm_range, None, [t])[0] == 0:
             return float(t)
     raise MissionError(
         f"epoch {epoch}: no connected handover instant found near "
         f"fraction {advance_fraction}",
         epoch=epoch,
     )
-
-
-def _connectivity_violations(
-    traj,
-    boundary_anchors,
-    death_time: dict[int, float],
-    config: MissionConfig,
-    t_cut: float,
-) -> tuple[int, int]:
-    """Count Definition-2 violations over the executed window.
-
-    Samples uniformly over ``[t_start, t_cut]`` plus the left-sided
-    limits at every jump discontinuity inside the window (``C = 1``
-    must hold through the jumps too).  An instant violates when some
-    living robot has no multi-hop path to the network boundary (the
-    plan's anchor set); robots dead at the instant are excluded, and
-    when every anchor has died the check degrades to plain
-    connectivity of the survivors.
-    """
-    ts = np.linspace(traj.t_start, t_cut, max(2, config.resolution))
-    disc = traj.discontinuity_times()
-    disc = disc[(disc > traj.t_start) & (disc <= t_cut)]
-    checks: list[tuple[float, str]] = [(float(t), "right") for t in ts]
-    checks += [(float(t), "left") for t in disc]
-    anchors = [int(a) for a in boundary_anchors]
-
-    violations = 0
-    n = traj.robot_count
-    for t, side in checks:
-        present = [
-            j
-            for j in range(n)
-            if j not in death_time or t < death_time[j]
-        ]
-        if not present:
-            continue
-        pts = traj.positions_over(np.array([t]), side=side)[0][present]
-        graph = UnitDiskGraph(pts, config.comm_range)
-        compact = {j: k for k, j in enumerate(present)}
-        local_anchors = [compact[a] for a in anchors if a in compact]
-        if local_anchors:
-            ok = bool(graph.nodes_connected_to(local_anchors).all())
-        else:
-            ok = graph.is_connected()
-        if not ok:
-            violations += 1
-    return violations, len(checks)
 
 
 def run_mission(

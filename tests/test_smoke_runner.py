@@ -2,8 +2,9 @@
 
 ``scripts/`` is not a package, so the runner is loaded by path.  The
 digests pin the serial ``--output`` bytes (``dumps_canonical`` of the
-summary) of the chaos, zoo and mission smoke matrices; a refactor of a
-campaign must leave them unchanged.
+summary) of the chaos, zoo and mission smoke matrices, plus the Table-I
+path's scenario-run bytes; a refactor of a campaign or an evaluator must
+leave them unchanged.
 """
 
 import hashlib
@@ -14,6 +15,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.experiments.harness import run_scenario
+from repro.experiments.scenarios import get_scenario
+from repro.io import dumps_canonical, scenario_run_to_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,6 +50,24 @@ def test_smoke_matrix_summary_digest_is_pinned(command, tmp_path, capsys):
     code = main([command, *matrix, "--workers", "1", "--output", str(out)])
     assert code == 0, capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+#: ``dumps_canonical(scenario_run_to_dict(run_scenario(...)))`` at the
+#: knobs below, per paper scenario (all four methods, Definition 2
+#: through ``evaluate_trajectory``).
+TABLE_I_PINNED = {
+    1: "4e2101748564100f690f6da397723392ab2204c493164d7999b799ab1bfc4781",
+    3: "e0a6db5d12eb1284f649c119d3ee3953fed7195815fc204d48ac706fbc11eb71",
+}
+
+
+@pytest.mark.parametrize("scenario_id", sorted(TABLE_I_PINNED))
+def test_table_i_scenario_run_digest_is_pinned(scenario_id):
+    run = run_scenario(
+        get_scenario(scenario_id), foi_target_points=150, lloyd_grid_target=600
+    )
+    payload = dumps_canonical(scenario_run_to_dict(run))
+    assert hashlib.sha256(payload).hexdigest() == TABLE_I_PINNED[scenario_id]
 
 
 def test_ci_smoke_matrix_lists_every_runner_name():
