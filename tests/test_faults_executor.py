@@ -1,5 +1,7 @@
 """Tests for the resilient executor: recovery, metrics, typed failure."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.faults import (
     rejoin_components,
 )
 from repro.foi import FieldOfInterest, ellipse_polygon
+from repro.io import dumps_canonical
 from repro.marching import MarchingConfig, MarchingPlanner
 from repro.metrics import connectivity_report
 from repro.network import UnitDiskGraph
@@ -114,6 +117,32 @@ class TestRecovery:
             original.total_distance
         )
         assert len(report.survivor_ids) == swarm.size
+
+    def test_crash_cutting_the_survivors_rejoins_then_replans(self, mission):
+        """A band of robots across the lattice dies at 10% of the march:
+        the survivors split 16/13, are escorted back together, and the
+        rejoined fleet replans with C = 1 on the replanned leg."""
+        swarm, m2, original = mission
+        band = (1, 5, 11, 16, 22, 28, 33)
+        traj = original.trajectory
+        frozen = traj.positions_at(traj.t_start + 0.1 * traj.duration)
+        survivors = [k for k in range(swarm.size) if k not in band]
+        assert not UnitDiskGraph(
+            frozen[survivors], swarm.radio.comm_range
+        ).is_connected()
+
+        report = run(
+            mission, FaultSchedule(crashes=(CrashFault(at=0.1, robots=band),))
+        )
+        assert report.outcome == "recovered"
+        assert report.metrics.rejoin_count >= 1
+        assert [s.kind for s in report.segments] == ["march", "rejoin", "march"]
+        assert report.segments[-1].connectivity.connected
+        assert report.final_result.robot_count == swarm.size - len(band)
+        digest = hashlib.sha256(dumps_canonical(report.to_dict())).hexdigest()
+        assert digest == (
+            "f915da34b98569bbbaeda5819f6675afdf49645d1cee26d676319d0ed17741a1"
+        )
 
     def test_deterministic(self, mission):
         schedule = build_archetype_schedule(
