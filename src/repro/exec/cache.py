@@ -150,6 +150,10 @@ class LRUCache:
         with self._lock:
             return key in self._entries
 
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
 
 class DiskStore:
     """Pickle-per-entry store under a cache directory.

@@ -340,7 +340,6 @@ class ParallelMap:
 def parallel_map(
     fn: Callable[[Any], Any],
     items: Iterable[Any],
-    backend: str = "process",
     workers: int | None = None,
     **kwargs: Any,
 ) -> list[Any]:
@@ -350,12 +349,14 @@ def parallel_map(
     most one item, this is a bare ``[fn(item) for item in items]`` - no
     ``exec.map`` span, no per-task seeding, no private tracer - so spans
     and metrics land on the caller's ambient registry exactly as a
-    direct call would.  Otherwise the items go through
-    :class:`ParallelMap` (``kwargs`` are its options); both paths return
-    the same results in input order.
+    direct call would.  Otherwise the items go through a process-backed
+    :class:`ParallelMap` (``kwargs`` are its other options); both paths
+    return the same results in input order.
     """
     items = list(items)
     workers = resolve_workers(workers)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    return ParallelMap(backend=backend, workers=workers, **kwargs).map(fn, items)
+    return ParallelMap(backend="process", workers=workers, **kwargs).map(
+        fn, items
+    )

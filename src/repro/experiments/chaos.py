@@ -172,7 +172,6 @@ def chaos_sweep(
     seeds: Sequence[int] = (0,),
     config: ChaosConfig | None = None,
     workers: int | None = None,
-    backend: str = "process",
 ) -> dict[str, Any]:
     """Run the full fault matrix and aggregate a summary document.
 
@@ -193,7 +192,6 @@ def chaos_sweep(
         docs = parallel_map(
             _chaos_task,
             [(c, config) for c in cases],
-            backend=backend,
             workers=workers,
         )
 

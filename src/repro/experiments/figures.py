@@ -71,7 +71,6 @@ def write_all_sweep_figures(
     separation_factors=(10.0, 40.0, 70.0, 100.0),
     methods: Sequence[str] = ("ours (a)", "ours (b)", "direct translation", "Hungarian"),
     workers: int | None = None,
-    backend: str = "process",
     **run_kwargs,
 ) -> list[Path]:
     """Sweep several scenarios (optionally in parallel) and write all panels.
@@ -86,7 +85,6 @@ def write_all_sweep_figures(
         separation_factors=separation_factors,
         methods=methods,
         workers=workers,
-        backend=backend,
         **run_kwargs,
     )
     written: list[Path] = []

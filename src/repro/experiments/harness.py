@@ -21,7 +21,7 @@ import numpy as np
 from repro.baselines import direct_translation_plan, hungarian_plan
 from repro.coverage.lattice import optimal_coverage_positions
 from repro.coverage.lloyd import LloydConfig
-from repro.exec import parallel_map
+from repro.exec import LRUCache, parallel_map
 from repro.experiments.scenarios import ScenarioSpec
 from repro.marching import MarchingConfig, MarchingPlanner
 from repro.metrics import (
@@ -112,13 +112,18 @@ class _ScenarioCache:
     m2_canonical_centroid: np.ndarray
 
 
-_CACHE: dict[tuple, _ScenarioCache] = {}
+#: Scenario memo bound.  The key carries the request's grid target, so a
+#: long-running service must not keep one entry per target ever seen;
+#: eight holds every paper scenario at one grid target.
+_CACHE_CAPACITY = 8
+_CACHE = LRUCache(_CACHE_CAPACITY)
 
 
 def _scenario_cache(spec: ScenarioSpec, grid_target: int) -> _ScenarioCache:
     key = (spec.scenario_id, spec.robot_count, spec.comm_range, grid_target)
-    if key in _CACHE:
-        return _CACHE[key]
+    cached = _CACHE.get(key)
+    if cached is not None:
+        return cached
     radio = RadioSpec.from_comm_range(spec.comm_range)
     m1 = spec.m1_builder()
     m2 = spec.m2_builder()
@@ -136,7 +141,7 @@ def _scenario_cache(spec: ScenarioSpec, grid_target: int) -> _ScenarioCache:
         q_canonical=q_canonical,
         m2_canonical_centroid=m2.centroid,
     )
-    _CACHE[key] = cache
+    _CACHE.put(key, cache)
     return cache
 
 
@@ -302,7 +307,6 @@ def sweep_separations(
     separation_factors=(10.0, 25.0, 50.0, 75.0, 100.0),
     methods=DEFAULT_METHODS,
     workers: int | None = None,
-    backend: str = "process",
     **run_kwargs,
 ) -> SweepResult:
     """Reproduce a Fig. 3-style sweep: metrics vs M1-M2 separation.
@@ -316,8 +320,6 @@ def sweep_separations(
         ``REPRO_WORKERS``, default 1 = inline).  Results are identical
         for any worker count: every point is a pure computation, and
         per-worker obs spans/metrics merge back in point order.
-    backend : str
-        :class:`repro.exec.ParallelMap` backend for ``workers > 1``.
     """
     runs = parallel_map(
         _scenario_task,
@@ -325,7 +327,6 @@ def sweep_separations(
             (spec, sep, tuple(methods), dict(run_kwargs))
             for sep in separation_factors
         ],
-        backend=backend,
         workers=workers,
     )
     return SweepResult(
@@ -339,7 +340,6 @@ def run_scenarios(
     separation_factor: float = 20.0,
     methods=DEFAULT_METHODS,
     workers: int | None = None,
-    backend: str = "process",
     **run_kwargs,
 ) -> dict[int, ScenarioRun]:
     """Run several scenarios (Table I / report path), optionally in parallel.
@@ -357,7 +357,6 @@ def run_scenarios(
             (spec, separation_factor, tuple(methods), dict(run_kwargs))
             for spec in specs
         ],
-        backend=backend,
         workers=workers,
     )
     return {spec.scenario_id: run for spec, run in zip(specs, runs)}
@@ -368,7 +367,6 @@ def sweep_many(
     separation_factors=(10.0, 25.0, 50.0, 75.0, 100.0),
     methods=DEFAULT_METHODS,
     workers: int | None = None,
-    backend: str = "process",
     **run_kwargs,
 ) -> list[SweepResult]:
     """Full sweeps for several scenarios, one worker task per scenario."""
@@ -378,6 +376,5 @@ def sweep_many(
             (spec, tuple(separation_factors), tuple(methods), dict(run_kwargs))
             for spec in specs
         ],
-        backend=backend,
         workers=workers,
     )

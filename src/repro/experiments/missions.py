@@ -104,7 +104,6 @@ def mission_campaign(
     epochs: int = 3,
     config: MissionConfig | None = None,
     workers: int | None = None,
-    backend: str = "process",
 ) -> dict[str, Any]:
     """Run the (family, motion, seed) matrix and aggregate a summary.
 
@@ -146,7 +145,6 @@ def mission_campaign(
         rows = parallel_map(
             _mission_task,
             [(s, config) for s in specs],
-            backend=backend,
             workers=workers,
         )
 

@@ -31,7 +31,6 @@ def build_report(
     scenario_ids: Sequence[int] | None = None,
     methods: Sequence[str] = DEFAULT_METHODS,
     workers: int | None = None,
-    backend: str = "process",
     chaos: bool = False,
     chaos_seeds: Sequence[int] = (0,),
     chaos_scenarios: Sequence[int] | None = None,
@@ -87,7 +86,6 @@ def build_report(
             separation_factor,
             methods,
             workers=workers,
-            backend=backend,
             **run_kwargs,
         )
 

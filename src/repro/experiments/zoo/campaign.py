@@ -483,7 +483,6 @@ def zoo_campaign(
     seeds: Sequence[int] = (0, 1, 2),
     config: ZooConfig | None = None,
     workers: int | None = None,
-    backend: str = "process",
 ) -> dict[str, Any]:
     """Run the full (family, seed) matrix and aggregate a summary.
 
@@ -513,7 +512,6 @@ def zoo_campaign(
         docs = parallel_map(
             _zoo_task,
             [(c, config) for c in cases],
-            backend=backend,
             workers=workers,
         )
 

@@ -38,17 +38,14 @@ from repro.errors import PlanningError, ProtocolError, UnrecoverableError
 from repro.faults.schedule import CrashFault, FaultSchedule, SlowFault, StuckFault
 from repro.foi.region import FieldOfInterest
 from repro.marching.planner import MarchingConfig, MarchingPlanner
-from repro.marching.replan import (
-    FailureEvent,
-    _remap_event_time,
-    replan_after_failure,
-)
+from repro.marching.replan import _remap_event_time
 from repro.marching.result import MarchingResult
 from repro.metrics.connectivity import ConnectivityReport, connectivity_report
 from repro.metrics.recovery import RecoveryMetrics
 from repro.metrics.stable_links import stable_link_ratio
 from repro.network.udg import UnitDiskGraph
 from repro.obs import get_metrics, span
+from repro.robots.robot import RadioSpec
 from repro.robots.swarm import Swarm
 
 __all__ = [
@@ -423,10 +420,7 @@ class ResilientExecutor:
 
             with span("faults.replan", survivors=len(survivors_local)):
                 try:
-                    new_result = self._replan(
-                        current, t_fault, newly_dead, positions, target_foi,
-                        comm_range,
-                    )
+                    new_result = self._replan(positions, target_foi, comm_range)
                 except PlanningError as exc:
                     raise UnrecoverableError(
                         f"survivors could not replan at mission fraction "
@@ -508,36 +502,13 @@ class ResilientExecutor:
     # ------------------------------------------------------------------
 
     def _replan(
-        self,
-        current: MarchingResult,
-        t_fault: float,
-        newly_dead: list[int],
-        positions: np.ndarray,
-        target_foi: FieldOfInterest,
-        comm_range: float,
+        self, positions: np.ndarray, target_foi: FieldOfInterest, comm_range: float
     ) -> MarchingResult:
-        """One recovery replan, via the paper's freeze-and-replan path.
+        """Plan the survivors afresh from their frozen (or rejoined) positions.
 
-        When the survivors stayed connected this is exactly
-        :func:`replan_after_failure` on the current plan; after an
-        escort rejoin the frozen positions moved, so the survivors are
-        planned directly from their rejoined positions.
+        On frozen positions this is exactly what
+        :func:`~repro.marching.replan.replan_after_failure` plans.
         """
-        frozen = current.trajectory.positions_at(t_fault)
-        survivors_local = [
-            k for k in range(len(frozen)) if k not in set(newly_dead)
-        ]
-        if np.allclose(frozen[survivors_local], positions):
-            outcome = replan_after_failure(
-                current,
-                FailureEvent(time=t_fault, failed=tuple(newly_dead)),
-                target_foi,
-                comm_range,
-                config=self.config,
-            )
-            return outcome.result
-        from repro.robots.robot import RadioSpec
-
         swarm = Swarm(positions, RadioSpec.from_comm_range(comm_range))
         return MarchingPlanner(self.config).plan(swarm, target_foi)
 

@@ -1,9 +1,10 @@
 """A marching planner that runs the paper's *distributed* stages.
 
 :class:`~repro.marching.planner.MarchingPlanner` computes every stage
-centrally (fast, and convenient as an oracle).  This variant executes
-the stages the paper describes as message-passing algorithms through
-the :mod:`repro.distributed` runtime:
+centrally (fast, and convenient as an oracle).  This variant is the
+same pipeline with four stages swapped for the message-passing
+algorithms the paper describes, run through the
+:mod:`repro.distributed` runtime:
 
 ===========================  =========================================
 stage                        execution here
@@ -21,150 +22,67 @@ rotation-angle search        per-robot local scores flooded to a
                              global one (Sec. III-B / III-D2)
 isolation detection          boundary-flood subgroup protocol
                              (Sec. III-D1), escorts as in the paper
-Lloyd adjustment             local two-range-neighbour iteration (the
-                             grid discretisation, connectivity-safe)
 ===========================  =========================================
 
-The test suite asserts this planner reproduces the centralized
-planner's rotation angle and targets.
+Straggler escort, FoI projection, the Lloyd adjustment (already a
+local two-range-neighbour iteration), the time split and the detoured
+march are inherited unchanged.  The test suite asserts this planner
+reproduces the centralized planner's rotation angle and targets.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from repro.coverage.density import DensityFunction
-from repro.coverage.lloyd import run_lloyd
 from repro.distributed.protocols.boundary_loop import run_boundary_loop_protocol
 from repro.distributed.protocols.rotation_search import DistributedRotationSearch
 from repro.distributed.protocols.subgroup import run_subgroup_detection
 from repro.errors import PlanningError
-from repro.foi.region import FieldOfInterest
 from repro.harmonic.boundary import circle_positions
-from repro.harmonic.diskmap import DiskMap, compute_disk_map
+from repro.harmonic.diskmap import DiskMap
+from repro.harmonic.rotation import AngleSearchResult
 from repro.harmonic.solvers import solve_linear
 from repro.harmonic.transfer import InducedMap
 from repro.marching.planner import MarchingConfig, MarchingPlanner
-from repro.marching.result import MarchingResult, RepairInfo
-from repro.mesh.delaunay import triangulate_foi
+from repro.marching.result import RepairInfo
 from repro.mesh.holes import fill_holes
+from repro.mesh.trimesh import TriMesh
 from repro.network.extract import extract_triangulation_localized
-from repro.network.graphs import adjacency_from_edges
-from repro.network.links import LinkTable, links_alive
-from repro.robots.swarm import Swarm
-from repro.robots.transition import detoured_transition, stepwise_trajectory
+from repro.network.graphs import adjacency_from_edges, connected_components
+from repro.network.links import links_alive
 
 __all__ = ["DistributedMarchingPlanner"]
 
+#: Escort rounds before the protocol repair gives up.
+_REPAIR_ROUNDS = 10
 
-class DistributedMarchingPlanner:
+
+class DistributedMarchingPlanner(MarchingPlanner):
     """Plans a transition using the distributed protocol stages.
 
     Parameters
     ----------
     config : MarchingConfig, optional
-        Same knobs as the centralized planner; ``boundary_mode`` is
-        ignored (the token protocol realises the paper's uniform
-        hop-count spacing).
+        Same knobs as the centralized planner, except that the token
+        protocol fixes ``T``'s boundary, so ``boundary_mode`` and
+        ``solver`` are overridden: every robot embeds the target FoI
+        alone with chord weights and the linear solver (Sec. III-B).
     """
 
+    label = "ours ({method}, distributed)"
+
     def __init__(self, config: MarchingConfig | None = None) -> None:
-        self.config = config or MarchingConfig()
-
-    def plan(
-        self,
-        swarm: Swarm,
-        target_foi: FieldOfInterest,
-        density: DensityFunction | None = None,
-        source_foi: FieldOfInterest | None = None,
-    ) -> MarchingResult:
-        """Plan ``swarm``'s transition with the distributed stages."""
-        cfg = self.config
-        p = swarm.positions
-        comm_range = swarm.radio.comm_range
-        graph = swarm.communication_graph()
-        if not graph.is_connected():
-            raise PlanningError("the swarm must start connected")
-        links = LinkTable.from_graph(graph)
-
-        # Stage 1 (distributed): localized-Delaunay extraction.
-        t_mesh, vmap = extract_triangulation_localized(p, comm_range)
-        in_t = np.zeros(len(p), dtype=bool)
-        in_t[vmap] = True
-        anchors = tuple(int(vmap[v]) for v in t_mesh.outer_boundary_loop)
-
-        # Stage 2a (distributed): boundary parameterization by token.
-        dm_t = self._disk_map_via_protocol(t_mesh)
-
-        # Stage 2b: target FoI embedding (each robot computes this alone
-        # from the shared map data, Sec. III-B).
-        foi_mesh = triangulate_foi(target_foi, target_points=cfg.foi_target_points)
-        dm_m2 = compute_disk_map(foi_mesh.mesh, boundary_mode="chord")
-        induced = InducedMap(dm_m2)
-
-        # Stage 2c (distributed): rotation search by local scores + floods.
-        t_links = MarchingPlanner._links_among(links.links, in_t, vmap)
-        search = DistributedRotationSearch(
-            induced,
-            dm_t.robot_disk_positions,
-            p[vmap],
-            t_links,
-            comm_range,
-            [t_mesh.adjacency[v] for v in range(t_mesh.vertex_count)],
-        )
-        result, targets_t = search.run(
-            depth=cfg.search_depth,
-            initial_samples=cfg.initial_samples,
-            maximize=cfg.method == "a",
+        super().__init__(
+            replace(config or MarchingConfig(), boundary_mode="chord", solver="linear")
         )
 
-        q = np.zeros_like(p)
-        q[vmap] = targets_t
-        for i in np.flatnonzero(~in_t):
-            ref = MarchingPlanner._nearest_in_t(i, p, in_t)
-            q[i] = p[i] + (q[ref] - p[ref])
-        inside = target_foi.contains(q)
-        for i in np.flatnonzero(~inside):
-            q[i] = target_foi.project_inside(q[i])
+    def _extract(self, p: np.ndarray, comm_range: float) -> tuple[TriMesh, np.ndarray]:
+        """Localized-Delaunay extraction."""
+        return extract_triangulation_localized(p, comm_range)
 
-        # Stage 3 (distributed): subgroup detection + parallel escorts.
-        q, repair_info = self._repair_via_protocol(
-            p, q, links, anchors, comm_range
-        )
-
-        # Stages 4-5: march with detours, then Lloyd adjustment.
-        march_total = float(np.hypot(*(q - p).T).sum())
-        lloyd = run_lloyd(
-            q, target_foi, comm_range=comm_range, density=density, config=cfg.lloyd
-        )
-        t_split = MarchingPlanner._time_split(
-            march_total, lloyd.total_movement, cfg.transition_time
-        )
-        trajectory = detoured_transition(
-            p, q, target_foi, 0.0, t_split, source_foi=source_foi
-        ).then(
-            stepwise_trajectory(lloyd.snapshots, t_split, cfg.transition_time)
-        )
-
-        return MarchingResult(
-            method=f"ours ({cfg.method}, distributed)",
-            start_positions=p.copy(),
-            march_targets=q,
-            final_positions=lloyd.positions,
-            trajectory=trajectory,
-            links=links,
-            boundary_anchors=anchors,
-            rotation_angle=result.angle,
-            rotation_evaluations=result.evaluations,
-            repair=repair_info,
-            lloyd_iterations=lloyd.iterations,
-            artifacts={"flood_rounds": search.flood_rounds},
-        )
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _disk_map_via_protocol(t_mesh) -> DiskMap:
+    def _embed_t(self, t_mesh: TriMesh) -> DiskMap:
         """Disk embedding whose boundary comes from the token protocol."""
         filled = fill_holes(t_mesh)
         loop = filled.mesh.outer_boundary_loop
@@ -183,26 +101,51 @@ class DistributedMarchingPlanner:
             iterations=0,
         )
 
-    @staticmethod
-    def _repair_via_protocol(
+    def _search_rotation(
+        self,
+        induced: InducedMap,
+        dm_t: DiskMap,
+        t_mesh: TriMesh,
+        p_t: np.ndarray,
+        t_links: np.ndarray,
+        comm_range: float,
+    ) -> tuple[AngleSearchResult, np.ndarray, dict[str, object]]:
+        """Rotation search by local scores and floods."""
+        cfg = self.config
+        search = DistributedRotationSearch(
+            induced,
+            dm_t.robot_disk_positions,
+            p_t,
+            t_links,
+            comm_range,
+            [t_mesh.adjacency[v] for v in range(t_mesh.vertex_count)],
+        )
+        result, targets_t = search.run(
+            depth=cfg.search_depth,
+            initial_samples=cfg.initial_samples,
+            maximize=cfg.method == "a",
+        )
+        return result, targets_t, {"flood_rounds": search.flood_rounds}
+
+    def _repair(
+        self,
         p: np.ndarray,
         q: np.ndarray,
-        links: LinkTable,
-        anchors,
+        links: np.ndarray,
+        anchors: tuple[int, ...],
         comm_range: float,
-        max_rounds: int = 10,
     ) -> tuple[np.ndarray, RepairInfo]:
         """Sec. III-D1 with the subgroup-detection *protocol* in the loop."""
         q = q.copy()
         n = len(p)
         escorted: dict[int, int] = {}
         isolated_before = -1
-        full_adj = adjacency_from_edges(n, links.links)
-        for round_idx in range(1, max_rounds + 1):
-            alive = links_alive(links.links, q, comm_range) & links_alive(
-                links.links, p, comm_range
+        full_adj = adjacency_from_edges(n, links)
+        for round_idx in range(1, _REPAIR_ROUNDS + 1):
+            alive = links_alive(links, q, comm_range) & links_alive(
+                links, p, comm_range
             )
-            preserved_adj = adjacency_from_edges(n, links.links[alive])
+            preserved_adj = adjacency_from_edges(n, links[alive])
             isolated, hops = run_subgroup_detection(anchors, preserved_adj)
             if round_idx == 1:
                 isolated_before = len(isolated)
@@ -219,8 +162,6 @@ class DistributedMarchingPlanner:
                 [w for w in preserved_adj[v] if w in iso_set] if v in iso_set else []
                 for v in range(n)
             ]
-            from repro.network.graphs import connected_components
-
             comps = [c for c in connected_components(sub_adj) if set(c) <= iso_set]
             progressed = False
             for comp in comps:

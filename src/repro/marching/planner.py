@@ -19,6 +19,11 @@ algorithm:
 
 Method (a) maximises the stable-link count; method (b) minimises the
 total moving distance (Sec. III-D2).  Both guarantee ``C = 1``.
+
+Extraction, ``T``'s embedding, the rotation search and the repair are
+methods (``_extract``, ``_embed_t``, ``_search_rotation``, ``_repair``);
+:class:`~repro.marching.distributed_planner.DistributedMarchingPlanner`
+swaps in their message-passing versions and inherits the rest.
 """
 
 from __future__ import annotations
@@ -31,18 +36,16 @@ from repro.coverage.density import DensityFunction
 from repro.coverage.lloyd import LloydConfig, run_lloyd
 from repro.errors import PlanningError
 from repro.foi.region import FieldOfInterest
-from repro.geometry.vec import as_points
-from repro.harmonic.diskmap import compute_disk_map
-from repro.harmonic.rotation import hierarchical_angle_search
+from repro.harmonic.diskmap import DiskMap, compute_disk_map
+from repro.harmonic.rotation import AngleSearchResult, hierarchical_angle_search
 from repro.harmonic.transfer import InducedMap
 from repro.marching.repair import repair_targets
 from repro.marching.result import MarchingResult, RepairInfo
 from repro.mesh.delaunay import triangulate_foi
+from repro.mesh.trimesh import TriMesh
 from repro.network.extract import extract_triangulation
 from repro.network.links import LinkTable, links_alive
-from repro.network.udg import UnitDiskGraph
 from repro.obs import span
-from repro.robots.motion import SwarmTrajectory
 from repro.robots.swarm import Swarm
 from repro.robots.transition import detoured_transition, stepwise_trajectory
 
@@ -120,6 +123,9 @@ class MarchingPlanner:
     True
     """
 
+    #: ``MarchingResult.method`` template; ``{method}`` is ``a`` or ``b``.
+    label = "ours ({method})"
+
     def __init__(self, config: MarchingConfig | None = None) -> None:
         self.config = config or MarchingConfig()
 
@@ -164,7 +170,7 @@ class MarchingPlanner:
 
         # Stage 1: triangulation extraction.
         with span("plan.extract_triangulation", robots=len(p)) as sp_:
-            t_mesh, vmap = extract_triangulation(p, comm_range)
+            t_mesh, vmap = self._extract(p, comm_range)
             sp_.set_attributes(t_vertices=len(vmap))
         in_t = np.zeros(len(p), dtype=bool)
         in_t[vmap] = True
@@ -172,10 +178,7 @@ class MarchingPlanner:
 
         # Stage 2: modified harmonic map.
         with span("plan.disk_map_t", solver=cfg.solver):
-            dm_t = compute_disk_map(
-                t_mesh, boundary_mode=cfg.boundary_mode, solver=cfg.solver,
-                use_cache=cfg.use_cache,
-            )
+            dm_t = self._embed_t(t_mesh)
         with span("plan.triangulate_foi", target_points=cfg.foi_target_points):
             foi_mesh = triangulate_foi(
                 target_foi, target_points=cfg.foi_target_points
@@ -186,41 +189,17 @@ class MarchingPlanner:
                 use_cache=cfg.use_cache,
             )
         induced = InducedMap(dm_m2)
-        disk_pts = dm_t.robot_disk_positions
-
         t_links = self._links_among(links.links, in_t, vmap)
 
-        def mapped_targets(angle: float) -> np.ndarray:
-            return induced.map_points(disk_pts, rotation=angle)
-
-        if cfg.method == "a":
-
-            def objective(angle: float) -> float:
-                q_t = mapped_targets(angle)
-                return float(links_alive(t_links, q_t, comm_range).sum())
-
-            maximize = True
-        else:
-
-            def objective(angle: float) -> float:
-                q_t = mapped_targets(angle)
-                d = q_t - p[vmap]
-                return float(np.hypot(d[:, 0], d[:, 1]).sum())
-
-            maximize = False
-
         with span("plan.rotation_search", method=cfg.method) as sp_:
-            search = hierarchical_angle_search(
-                objective,
-                depth=cfg.search_depth,
-                maximize=maximize,
-                initial_samples=cfg.initial_samples,
+            search, targets_t, artifacts = self._search_rotation(
+                induced, dm_t, t_mesh, p[vmap], t_links, comm_range
             )
             sp_.set_attributes(angle=search.angle, evaluations=search.evaluations)
 
         # Stage 3: targets for every robot (escort stragglers outside T).
         q = np.zeros_like(p)
-        q[vmap] = mapped_targets(search.angle)
+        q[vmap] = targets_t
         for i in np.flatnonzero(~in_t):
             ref = self._nearest_in_t(i, p, in_t)
             q[i] = p[i] + (q[ref] - p[ref])
@@ -231,9 +210,7 @@ class MarchingPlanner:
             q[i] = target_foi.project_inside(q[i])
 
         with span("plan.repair"):
-            q, repair_info = repair_targets(
-                p, q, comm_range, anchors, links=links.links
-            )
+            q, repair_info = self._repair(p, q, links.links, anchors, comm_range)
 
         # Stage 4: the march (with hole detours in the target FoI).
         march_total = float(np.hypot(*(q - p).T).sum())
@@ -263,20 +240,19 @@ class MarchingPlanner:
             trajectory = march_traj.then(adjust_traj)
             sp_.set_attributes(total_distance=trajectory.total_distance())
 
-        artifacts: dict[str, object] = {}
         if cfg.keep_artifacts:
-            artifacts = {
-                "t_mesh": t_mesh,
-                "t_vertex_map": vmap,
-                "disk_map_t": dm_t,
-                "foi_mesh": foi_mesh,
-                "disk_map_m2": dm_m2,
-                "lloyd": lloyd,
-                "search": search,
-            }
+            artifacts.update(
+                t_mesh=t_mesh,
+                t_vertex_map=vmap,
+                disk_map_t=dm_t,
+                foi_mesh=foi_mesh,
+                disk_map_m2=dm_m2,
+                lloyd=lloyd,
+                search=search,
+            )
 
         return MarchingResult(
-            method=f"ours ({cfg.method})",
+            method=self.label.format(method=cfg.method),
             start_positions=p.copy(),
             march_targets=q,
             final_positions=lloyd.positions,
@@ -289,6 +265,67 @@ class MarchingPlanner:
             lloyd_iterations=lloyd.iterations,
             artifacts=artifacts,
         )
+
+    # -- the stages DistributedMarchingPlanner runs as protocols --------
+
+    def _extract(self, p: np.ndarray, comm_range: float) -> tuple[TriMesh, np.ndarray]:
+        """Stage 1: the triangulation ``T`` and its robot index map."""
+        return extract_triangulation(p, comm_range)
+
+    def _embed_t(self, t_mesh: TriMesh) -> DiskMap:
+        """Stage 2a: ``T``'s harmonic embedding in the unit disk."""
+        cfg = self.config
+        return compute_disk_map(
+            t_mesh, boundary_mode=cfg.boundary_mode, solver=cfg.solver,
+            use_cache=cfg.use_cache,
+        )
+
+    def _search_rotation(
+        self,
+        induced: InducedMap,
+        dm_t: DiskMap,
+        t_mesh: TriMesh,
+        p_t: np.ndarray,
+        t_links: np.ndarray,
+        comm_range: float,
+    ) -> tuple[AngleSearchResult, np.ndarray, dict[str, object]]:
+        """Stage 2b: the overlay rotation, ``T``'s targets, stage artifacts.
+
+        Method (a) maximises the ``T`` links alive at the targets;
+        method (b) minimises the total straight-line distance.
+        """
+        cfg = self.config
+        disk_pts = dm_t.robot_disk_positions
+        if cfg.method == "a":
+
+            def objective(angle: float) -> float:
+                q_t = induced.map_points(disk_pts, rotation=angle)
+                return float(links_alive(t_links, q_t, comm_range).sum())
+
+        else:
+
+            def objective(angle: float) -> float:
+                d = induced.map_points(disk_pts, rotation=angle) - p_t
+                return float(np.hypot(d[:, 0], d[:, 1]).sum())
+
+        search = hierarchical_angle_search(
+            objective,
+            depth=cfg.search_depth,
+            maximize=cfg.method == "a",
+            initial_samples=cfg.initial_samples,
+        )
+        return search, induced.map_points(disk_pts, rotation=search.angle), {}
+
+    def _repair(
+        self,
+        p: np.ndarray,
+        q: np.ndarray,
+        links: np.ndarray,
+        anchors: tuple[int, ...],
+        comm_range: float,
+    ) -> tuple[np.ndarray, RepairInfo]:
+        """Stage 3: escort isolated robots so ``C = 1`` holds (Sec. III-D1)."""
+        return repair_targets(p, q, comm_range, anchors, links=links)
 
     # ------------------------------------------------------------------
 

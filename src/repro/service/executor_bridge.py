@@ -19,11 +19,11 @@ and feeds the two histograms the HTTP layer reads back out:
 ``service.queue_wait_s`` and ``service.job_duration_s`` (the latter is
 what ``Retry-After`` estimates are computed from).
 
-The engine backend is ``thread`` by default: the solve shares the
+The engine runs on its ``thread`` backend: the solve shares the
 service's in-process content cache (deduplicated scenario requests hit
-the same disk-map entries), and numpy releases the GIL enough for the
-service's granularity.  A runner closure does not need to pickle on
-this backend.
+the same disk-map entries), numpy releases the GIL enough for the
+service's granularity, a runner closure does not need to pickle, and a
+progress-aware runner streams its events straight into the job's log.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ class ExecutorBridge:
         from the dispatcher thread (bind caches into the callable).
     dispatchers : int
         Number of dispatcher threads = jobs in flight concurrently.
-    task_backend : {"thread", "serial", "process"}
-        Engine backend for the per-job map.  ``process`` requires a
-        picklable runner and forfeits in-process cache sharing.
     job_timeout_s : float, optional
         Per-job wall-clock budget, enforced by the engine (a timed-out
         job fails; its abandoned worker cannot wedge the dispatcher).
@@ -71,7 +68,6 @@ class ExecutorBridge:
         queue: JobQueue,
         runner: Callable[[dict[str, Any]], Any],
         dispatchers: int = 2,
-        task_backend: str = "thread",
         job_timeout_s: float | None = None,
         retries: int = 1,
         tracer: Tracer | None = None,
@@ -82,7 +78,6 @@ class ExecutorBridge:
         self.queue = queue
         self.runner = runner
         self.dispatchers = dispatchers
-        self.task_backend = task_backend
         self.job_timeout_s = job_timeout_s
         self.retries = retries
         self.tracer = tracer
@@ -173,7 +168,7 @@ class ExecutorBridge:
         ) as job_span:
             self._absorb_queue_wait_span(job, queue_wait)
             engine = ParallelMap(
-                backend=self.task_backend,
+                backend="thread",
                 # Two workers keeps the engine on its pooled path (one
                 # worker degrades to serial, which cannot enforce the
                 # per-job timeout); only one ever gets a task.
@@ -184,21 +179,16 @@ class ExecutorBridge:
                 collect_obs=True,
             )
             runner = self.runner
-            progress_bound = False
-            in_process = self.task_backend in ("thread", "serial")
-            if getattr(runner, "supports_progress", False) and in_process:
+            if getattr(runner, "supports_progress", False):
                 # Live streaming: the runner emits (kind, data) events
                 # straight into the job's event log as the mission
-                # advances.  Only in-process backends can share the
-                # queue; a process backend falls back to the post-hoc
-                # document scan below.
+                # advances.
                 interrupt = None
                 if getattr(self.runner, "supports_interrupt", False):
                     interrupt = self._drain_event.is_set
                 runner = _with_progress(
                     runner, self.queue, job.job_id, interrupt=interrupt
                 )
-                progress_bound = True
             t0 = time.monotonic()
             try:
                 with span("service.solve", job_id=job.job_id):
@@ -226,16 +216,6 @@ class ExecutorBridge:
                     job.job_id, "phase", phase="solve",
                     duration_s=t_solved - t0,
                 )
-                for payload_doc in self._recovery_metrics(doc):
-                    # Chaos-style documents carry RecoveryMetrics per
-                    # case; stream them so a mission operator watching
-                    # the job sees recovery outcomes as they land.
-                    self.queue.publish(
-                        job.job_id, "recovery", **payload_doc
-                    )
-                if not progress_bound:
-                    for kind, payload_doc in _mission_events(doc):
-                        self.queue.publish(job.job_id, kind, **payload_doc)
                 with span("service.serialize", job_id=job.job_id):
                     payload = dumps_canonical(doc)
                 self.queue.publish(
@@ -258,30 +238,6 @@ class ExecutorBridge:
             metrics.counter("service.jobs.solved").inc()
             job_span.set_attributes(outcome="done", payload_bytes=len(payload))
             self.queue.complete(job.job_id, payload)
-
-    @staticmethod
-    def _recovery_metrics(doc: Any):
-        """RecoveryMetrics payloads inside a result document, if any.
-
-        Recognises the chaos-sweep document shape (``cases`` entries
-        with ``outcome == "recovered"`` carrying a ``metrics`` dict) so
-        fault-injected mission jobs stream their recovery outcomes;
-        plain plan documents yield nothing.
-        """
-        if not isinstance(doc, dict):
-            return
-        for case in doc.get("cases") or []:
-            if (
-                isinstance(case, dict)
-                and case.get("outcome") == "recovered"
-                and isinstance(case.get("metrics"), dict)
-            ):
-                yield {
-                    "scenario_id": case.get("scenario_id"),
-                    "archetype": case.get("archetype"),
-                    "seed": case.get("seed"),
-                    "metrics": case["metrics"],
-                }
 
     def _absorb_queue_wait_span(self, job: Job, queue_wait: float) -> None:
         """Inject the already-elapsed queue wait as a real span record."""
@@ -329,28 +285,3 @@ def _with_progress(
 
     return run
 
-
-def _mission_events(doc: Any):
-    """Replay a mission document's epoch/plan_diff/recovery events.
-
-    The post-hoc fallback for runners that could not stream live (a
-    process task backend cannot share the queue object).  Latency
-    fields are absent here - they exist only on the live path.
-    """
-    if not isinstance(doc, dict) or doc.get("kind") != "mission":
-        return
-    for record in doc.get("epochs") or []:
-        if not isinstance(record, dict):
-            continue
-        for recovery in record.get("recoveries") or []:
-            yield "recovery", dict(recovery)
-        diff = record.get("plan_diff")
-        if isinstance(diff, dict):
-            yield "plan_diff", dict(diff)
-        yield "epoch", {
-            "epoch": record.get("epoch"),
-            "robots": record.get("robots"),
-            "cache_hits": (diff or {}).get("cache_hits"),
-            "cache_misses": (diff or {}).get("cache_misses"),
-            "c_violations": record.get("c_violations"),
-        }

@@ -9,10 +9,11 @@ publishes its own health, metrics and trace state.
 
 Endpoints
 ---------
-``POST /v1/plan``
-    Submit a plan request (see
-    :func:`~repro.service.jobs.normalize_plan_request` for the body
-    schema).  ``202`` with ``{"job_id", "state", "deduplicated",
+``POST /v1/plan`` / ``POST /v1/mission``
+    Submit a plan or mission request (see
+    :func:`~repro.service.jobs.normalize_plan_request` and
+    :func:`~repro.service.jobs.normalize_mission_request` for the body
+    schemas).  ``202`` with ``{"job_id", "state", "deduplicated",
     "shard"}``; ``429`` + ``Retry-After`` when the owning shard's
     queue is full (the estimate comes from the observed
     ``service.job_duration_s`` histogram); ``503`` while draining.
@@ -26,9 +27,9 @@ Endpoints
 ``GET /v1/jobs/{id}/events`` (alias ``GET /v1/plan/{id}/events``)
     Server-sent-events stream of the job's progress: ``queued``,
     ``claimed`` (with the measured queue wait and owning shard),
-    ``phase`` timings for solve/serialize, ``recovery`` events when
-    the result document carries RecoveryMetrics, the terminal state,
-    and a final ``end`` frame.  Poll-free alternative to
+    ``phase`` timings for solve/serialize, a mission's live ``epoch``,
+    ``plan_diff`` and ``recovery`` events, the terminal state, and a
+    final ``end`` frame.  Poll-free alternative to
     ``GET /v1/jobs/{id}``; the stream replays from the beginning, so
     attaching to a finished job yields its full history at once.
 ``POST /v1/jobs/{id}/cancel``
@@ -117,6 +118,11 @@ _REASONS = {
 }
 
 _MAX_BODY_BYTES = 1_000_000
+#: submission path -> (endpoint label, request normaliser)
+_SUBMISSIONS = {
+    "/v1/plan": ("plan", normalize_plan_request),
+    "/v1/mission": ("mission", normalize_mission_request),
+}
 _HEADER_TIMEOUT_S = 10.0
 
 
@@ -259,8 +265,6 @@ class PlanningService:
         Per-job engine budget (see :class:`ExecutorBridge`).
     ttl_s : float
         Retention of finished jobs and their results.
-    task_backend : str
-        ``repro.exec`` backend for the per-job map (default thread).
     runner : callable, optional
         Override the job body (tests inject fast/failing runners);
         defaults to :func:`run_plan_request` bound to the service cache.
@@ -291,7 +295,6 @@ class PlanningService:
         job_timeout_s: float | None = None,
         retries: int = 1,
         ttl_s: float = 3600.0,
-        task_backend: str = "thread",
         runner: Callable[[dict[str, Any]], Any] | None = None,
         journal_dir: str | Path | None = None,
         journal_fsync: bool = True,
@@ -332,7 +335,6 @@ class PlanningService:
                 queue,
                 self.runner,
                 dispatchers=dispatchers,
-                task_backend=task_backend,
                 job_timeout_s=job_timeout_s,
                 retries=retries,
                 tracer=self.tracer,
@@ -838,14 +840,11 @@ class PlanningService:
 
     def _resolve(self, method: str, path: str):
         parts = [p for p in path.split("/") if p]
-        if path == "/v1/plan":
+        if path in _SUBMISSIONS:
+            label, normalize = _SUBMISSIONS[path]
             if method != "POST":
-                return "plan", self._method_not_allowed("POST")
-            return "plan", self._post_plan
-        if path == "/v1/mission":
-            if method != "POST":
-                return "mission", self._method_not_allowed("POST")
-            return "mission", self._post_mission
+                return label, self._method_not_allowed("POST")
+            return label, functools.partial(self._post_job, normalize=normalize)
         if path == "/healthz" and method == "GET":
             return "healthz", self._get_healthz
         if path == "/metrics" and method == "GET":
@@ -884,7 +883,12 @@ class PlanningService:
 
     # -- handlers -------------------------------------------------------
 
-    def _post_plan(self, body: bytes | None) -> tuple[int, Any, dict[str, str]]:
+    def _post_job(
+        self,
+        body: bytes | None,
+        normalize: Callable[[Any], tuple[dict[str, Any], int]],
+    ) -> tuple[int, Any, dict[str, str]]:
+        """Admit one plan or mission submission onto its owning shard."""
         if self._draining:
             return 503, {"error": "service is draining; try another replica"}, {}
         try:
@@ -892,40 +896,7 @@ class PlanningService:
         except json.JSONDecodeError as exc:
             return 400, {"error": f"request body is not valid JSON: {exc}"}, {}
         with span("service.admission"):
-            request, priority = normalize_plan_request(doc)
-            shard = self._shard_for(job_id_for(request))
-            try:
-                job, created = shard.queue.submit(request, priority)
-            except QueueFull as exc:
-                retry_after = self._retry_after_s()
-                return (
-                    429,
-                    {"error": str(exc), "retry_after_s": retry_after},
-                    {"Retry-After": str(retry_after)},
-                )
-            except QueueClosed as exc:
-                return 503, {"error": str(exc)}, {}
-        self._observe_depths()
-        return (
-            202,
-            {
-                "job_id": job.job_id,
-                "state": job.state,
-                "deduplicated": not created,
-                "shard": shard.index,
-            },
-            {},
-        )
-
-    def _post_mission(self, body: bytes | None) -> tuple[int, Any, dict[str, str]]:
-        if self._draining:
-            return 503, {"error": "service is draining; try another replica"}, {}
-        try:
-            doc = json.loads(body or b"")
-        except json.JSONDecodeError as exc:
-            return 400, {"error": f"request body is not valid JSON: {exc}"}, {}
-        with span("service.admission"):
-            request, priority = normalize_mission_request(doc)
+            request, priority = normalize(doc)
             shard = self._shard_for(job_id_for(request))
             try:
                 job, created = shard.queue.submit(request, priority)

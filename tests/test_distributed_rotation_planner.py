@@ -1,5 +1,8 @@
 """Equivalence tests: distributed rotation search and distributed planner."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,8 @@ from repro.metrics import connectivity_report, stable_link_ratio
 from repro.network import LinkTable, extract_triangulation
 from repro.network.links import links_alive
 from repro.robots import RadioSpec, Swarm
+
+MARCHING_SRC = Path(__file__).resolve().parents[1] / "src" / "repro" / "marching"
 
 FAST = MarchingConfig(
     foi_target_points=220, lloyd=LloydConfig(grid_target=800, max_iterations=25)
@@ -131,3 +136,18 @@ class TestDistributedPlanner:
         assert connectivity_report(
             result.trajectory, swarm.radio.comm_range, result.boundary_anchors
         ).connected
+
+
+def test_distributed_planner_is_the_one_pipeline():
+    """The distributed planner swaps stages; it keeps no pipeline copy."""
+    assert "plan" not in vars(DistributedMarchingPlanner)
+    assert DistributedMarchingPlanner.plan is MarchingPlanner.plan
+    callers = sorted(
+        path.name
+        for path in MARCHING_SRC.rglob("*.py")
+        if re.search(
+            r"(?<!def )\b(run_lloyd|detoured_transition|stepwise_trajectory)\(",
+            path.read_text(),
+        )
+    )
+    assert callers == ["planner.py"]

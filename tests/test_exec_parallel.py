@@ -174,7 +174,7 @@ class TestBackendEquivalence:
         assert a != b
 
     def test_convenience_wrapper(self, obs):
-        assert parallel_map(_double, range(4), backend="serial") == [0, 2, 4, 6]
+        assert parallel_map(_double, range(4), workers=2) == [0, 2, 4, 6]
 
     def test_submitted_completed_counters(self, obs):
         _, metrics = obs

@@ -9,7 +9,7 @@ from repro.experiments import (
     run_scenario,
     sweep_separations,
 )
-from repro.experiments.harness import _CACHE, _scenario_cache
+from repro.experiments.harness import _CACHE, _CACHE_CAPACITY, _scenario_cache
 from repro.network import LinkTable
 from repro.robots import straight_transition
 
@@ -29,6 +29,20 @@ class TestScenarioCache:
         a = _scenario_cache(spec, grid_target=900)
         b = _scenario_cache(spec, grid_target=800)
         assert a is not b
+
+    def test_cache_is_bounded(self):
+        """The grid target comes from service requests: more distinct
+        targets than the capacity must not grow the memo past it."""
+        _CACHE.clear()
+        spec = get_scenario(1)
+        targets = [300 + i for i in range(_CACHE_CAPACITY + 1)]
+        for target in targets:
+            _scenario_cache(spec, grid_target=target)
+        assert len(_CACHE) <= _CACHE_CAPACITY
+        # The least recently used entry went first.
+        key = (spec.scenario_id, spec.robot_count, spec.comm_range, targets[0])
+        assert key not in _CACHE
+        _CACHE.clear()
 
     def test_q_translates_with_separation(self):
         """The canonical Q is reused across separations by translation -

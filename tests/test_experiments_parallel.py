@@ -55,7 +55,7 @@ def sweeps():
     with activate(tracer), activate_metrics(metrics), \
             activate_cache(ContentCache()):
         parallel = sweep_separations(
-            spec, SEPS, METHODS, workers=2, backend="process", **KW
+            spec, SEPS, METHODS, workers=2, **KW
         )
     return serial, parallel, tracer, metrics
 
@@ -126,7 +126,7 @@ class TestRunScenariosParallel:
             serial = run_scenarios(specs, 10.0, METHODS, workers=1, **KW)
         with activate_metrics(Metrics()), activate_cache(ContentCache()):
             parallel = run_scenarios(
-                specs, 10.0, METHODS, workers=2, backend="process", **KW
+                specs, 10.0, METHODS, workers=2, **KW
             )
         assert sorted(serial) == sorted(parallel) == [1, 2]
         for sid in serial:

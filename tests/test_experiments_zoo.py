@@ -197,9 +197,9 @@ class TestCampaign:
             seeds=(0, 1),
             config=UNIT_CONFIG,
         )
-        serial = zoo_campaign(workers=1, backend="serial", **kwargs)
-        threaded = zoo_campaign(workers=2, backend="thread", **kwargs)
-        assert dumps_canonical(serial) == dumps_canonical(threaded)
+        serial = zoo_campaign(workers=1, **kwargs)
+        pooled = zoo_campaign(workers=2, **kwargs)
+        assert dumps_canonical(serial) == dumps_canonical(pooled)
         assert serial["summary"]["all_pass"]
         assert serial["counterexamples"] == []
         for agg in serial["families"].values():
@@ -213,7 +213,6 @@ class TestCampaign:
     def test_render_zoo_lists_each_family(self):
         summary = zoo_campaign(
             families=("annulus",), seeds=(0,), config=UNIT_CONFIG, workers=1,
-            backend="serial",
         )
         text = render_zoo(summary)
         assert "annulus" in text
@@ -240,7 +239,6 @@ class TestShrinkAndReplay:
         )
         summary = zoo_campaign(
             families=("rough",), seeds=(0,), config=config, workers=1,
-            backend="serial",
         )
         assert not summary["summary"]["all_pass"]
         assert summary["counterexamples"]
@@ -267,7 +265,6 @@ class TestShrinkAndReplay:
         )
         summary = zoo_campaign(
             families=("rough",), seeds=(0,), config=config, workers=1,
-            backend="serial",
         )
         entry = summary["counterexamples"][0]
         monkeypatch.setattr(campaign_module, "_check_document", real)
