@@ -6,14 +6,16 @@ recovers automatically:
 
 * **detect** - each fault fires at its mission-fraction instant; the
   march freezes there and the fleet state is snapshotted.
-* **cascade** - every crash event replans the survivors from their
-  frozen positions (the same recovery
-  :func:`~repro.marching.replan.replan_after_failure` implements),
-  event after event, with later instants rescaled onto each fresh plan.
-* **repair** - when a crash cuts the survivor network, the cut
-  subgroups are escorted back: each minor component moves rigidly (all
-  internal links frozen, exactly like the planner's parallel-escort
-  repair) until it re-enters communication range of the main body.
+* **cascade** - every crash event goes through the crash freeze step
+  of :mod:`repro.marching.replan` (the one
+  :func:`~repro.marching.replan.replan_after_failure` applies per
+  event), with later instants rescaled onto each fresh plan, and the
+  survivors replan from where they stand.
+* **repair** - the freeze step runs under the ``"rejoin"`` survivor
+  policy: when a crash cuts the survivor network, each minor component
+  moves rigidly (all internal links frozen, exactly like the planner's
+  parallel-escort repair) until it re-enters communication range of the
+  main body.
 * **refuse loudly** - when recovery is impossible (too few survivors,
   the planner cannot plan, the recovery consensus cannot complete under
   the injected message faults) a typed
@@ -35,26 +37,18 @@ import numpy as np
 from repro.distributed.protocols.reliable_flood import ReliableFloodNode
 from repro.distributed.runtime import LinkFaults, SyncNetwork
 from repro.errors import PlanningError, ProtocolError, UnrecoverableError
-from repro.faults.schedule import CrashFault, FaultSchedule, SlowFault, StuckFault
+from repro.faults.schedule import CrashFault, FaultSchedule, SlowFault
 from repro.foi.region import FieldOfInterest
 from repro.marching.planner import MarchingConfig, MarchingPlanner
-from repro.marching.replan import _remap_event_time
+from repro.marching.replan import CrashFreeze, freeze_crash
 from repro.marching.result import MarchingResult
 from repro.metrics.connectivity import ConnectivityReport, connectivity_report
 from repro.metrics.recovery import RecoveryMetrics
 from repro.metrics.stable_links import stable_link_ratio
-from repro.network.udg import UnitDiskGraph
 from repro.obs import get_metrics, span
-from repro.robots.robot import RadioSpec
 from repro.robots.swarm import Swarm
 
-__all__ = [
-    "ChaosRunReport",
-    "ResilientExecutor",
-    "SegmentRecord",
-    "execute_with_faults",
-    "rejoin_components",
-]
+__all__ = ["ChaosRunReport", "ResilientExecutor", "SegmentRecord"]
 
 
 @dataclass(frozen=True)
@@ -133,64 +127,6 @@ class ChaosRunReport:
                 for s in self.segments
             ],
         }
-
-
-def rejoin_components(
-    positions: np.ndarray,
-    comm_range: float,
-    margin: float = 0.9,
-) -> tuple[np.ndarray, float, float]:
-    """Escort cut components back into one connected network.
-
-    Each minor component repeatedly translates rigidly toward the
-    closest robot of the main (largest) component until its closest
-    member sits ``margin * comm_range`` away - a rigid move keeps every
-    intra-component link alive by construction, exactly like the
-    planner's parallel-escort repair freezes relative positions.
-
-    Returns
-    -------
-    (rejoined_positions, fleet_distance, longest_single_move)
-
-    Raises
-    ------
-    UnrecoverableError
-        If the merge loop exceeds its bound (cannot happen for finite
-        inputs - every round strictly reduces the component count - but
-        the executor never trusts an unbounded loop).
-    """
-    pos = np.asarray(positions, dtype=float).copy()
-    n = len(pos)
-    fleet_distance = 0.0
-    longest = 0.0
-    for _ in range(max(n, 1)):
-        graph = UnitDiskGraph(pos, comm_range)
-        comps = graph.components
-        if len(comps) <= 1:
-            return pos, fleet_distance, longest
-        main = comps[0]
-        best: tuple[float, int, int, int] | None = None
-        for ci, comp in enumerate(comps[1:], start=1):
-            for j in comp:
-                delta = pos[main] - pos[j]
-                dist = np.hypot(delta[:, 0], delta[:, 1])
-                k = int(np.argmin(dist))
-                cand = (float(dist[k]), j, main[k], ci)
-                if best is None or cand < best:
-                    best = cand
-        dist, j, anchor, ci = best
-        direction = pos[anchor] - pos[j]
-        shift = direction * (1.0 - margin * comm_range / max(dist, 1e-12))
-        comp = comps[ci]
-        pos[comp] += shift
-        move = float(np.hypot(shift[0], shift[1]))
-        fleet_distance += move * len(comp)
-        longest = max(longest, move)
-    raise UnrecoverableError(
-        "escort rejoin failed to reconnect the survivors",
-        stage="rejoin",
-        survivors=n,
-    )
 
 
 class ResilientExecutor:
@@ -315,19 +251,16 @@ class ResilientExecutor:
         executed_distance = 0.0
         time_to_recover = 0.0
         consensus_rounds = 0
-        replans = 0
         rejoins = 0
         segments: list[SegmentRecord] = []
         replanned: list[MarchingResult] = []
 
         for fault in schedule.events():
-            traj = current.trajectory
-            t_fault = _remap_event_time(
-                fault.at, window_start, 1.0, traj.t_start, traj.t_end
-            )
-
-            if isinstance(fault, StuckFault):
+            if not isinstance(fault, CrashFault):
+                # A stuck window holds the fleet; a slow one dilates it.
                 hold = fault.duration * nominal_duration
+                if isinstance(fault, SlowFault):
+                    hold *= 1.0 / fault.factor - 1.0
                 time_to_recover += hold
                 segments.append(
                     SegmentRecord(
@@ -338,63 +271,30 @@ class ResilientExecutor:
                     )
                 )
                 continue
-            if isinstance(fault, SlowFault):
-                dilation = (
-                    fault.duration * nominal_duration * (1.0 / fault.factor - 1.0)
-                )
-                time_to_recover += dilation
-                segments.append(
-                    SegmentRecord(
-                        kind="hold",
-                        survivor_ids=tuple(int(i) for i in alive),
-                        distance=0.0,
-                        duration=dilation,
-                    )
-                )
-                continue
 
-            assert isinstance(fault, CrashFault)
-            id_to_local = {int(orig): k for k, orig in enumerate(alive)}
-            newly_dead = sorted(
-                id_to_local[int(i)] for i in fault.robots if int(i) in id_to_local
+            traj = current.trajectory
+            frozen = freeze_crash(
+                traj, fault.at, (window_start, 1.0), alive, fault.robots,
+                comm_range, "rejoin", clock="mission fraction",
             )
-            if not newly_dead:
+            if frozen is None:
                 continue  # every named robot already died earlier
 
-            # Freeze: account the distance flown on this plan so far.
-            flown = float(traj.distances_between(cursor, t_fault).sum())
+            # Account the distance flown on this plan so far.
+            flown = float(traj.distances_between(cursor, frozen.time).sum())
             executed_distance += flown
             segments.append(
                 SegmentRecord(
                     kind="march",
                     survivor_ids=tuple(int(i) for i in alive),
                     distance=flown,
-                    duration=max(0.0, t_fault - cursor),
+                    duration=max(0.0, frozen.time - cursor),
                     connectivity=None,
                 )
             )
-
-            survivors_local = np.array(
-                [k for k in range(len(alive)) if k not in set(newly_dead)],
-                dtype=int,
-            )
-            if len(survivors_local) < 4:
-                raise UnrecoverableError(
-                    f"only {len(survivors_local)} survivors left at mission "
-                    f"fraction {fault.at}; a marching problem needs 4",
-                    stage="survivors",
-                    survivors=len(survivors_local),
-                )
-
-            positions = traj.positions_at(t_fault)[survivors_local]
-            graph = UnitDiskGraph(positions, comm_range)
-            if not graph.is_connected():
-                with span(
-                    "faults.rejoin", components=len(graph.components)
-                ):
-                    positions, rejoin_dist, longest = rejoin_components(
-                        positions, comm_range
-                    )
+            survivors = len(frozen.survivors)
+            if frozen.rejoin is not None:
+                rejoin_dist, longest = frozen.rejoin
                 rejoins += 1
                 executed_distance += rejoin_dist
                 # The escorted components fly at nominal mission speed;
@@ -405,7 +305,7 @@ class ResilientExecutor:
                 segments.append(
                     SegmentRecord(
                         kind="rejoin",
-                        survivor_ids=tuple(int(alive[k]) for k in survivors_local),
+                        survivor_ids=tuple(int(i) for i in alive[frozen.survivors]),
                         distance=rejoin_dist,
                         duration=rejoin_time,
                     )
@@ -414,23 +314,20 @@ class ResilientExecutor:
             # The survivors cooperatively agree on the new roster before
             # planning - over links subject to the schedule's message
             # faults.
-            consensus_rounds += self._consensus(
-                positions, comm_range, schedule
-            )
+            consensus_rounds += self._consensus(frozen, schedule)
 
-            with span("faults.replan", survivors=len(survivors_local)):
+            with span("faults.replan", survivors=survivors):
                 try:
-                    new_result = self._replan(positions, target_foi, comm_range)
+                    new_result = frozen.replan(target_foi, self.config)
                 except PlanningError as exc:
                     raise UnrecoverableError(
                         f"survivors could not replan at mission fraction "
                         f"{fault.at}: {exc}",
                         stage="replan",
-                        survivors=len(survivors_local),
+                        survivors=survivors,
                     ) from exc
-            replans += 1
             replanned.append(new_result)
-            alive = alive[survivors_local]
+            alive = alive[frozen.survivors]
             current = new_result
             window_start = fault.at
             cursor = new_result.trajectory.t_start
@@ -472,11 +369,11 @@ class ResilientExecutor:
 
         final_L = (
             stable_link_ratio(current.links, current.trajectory, self.resolution)
-            if replans
+            if replanned
             else baseline_L
         )
         metrics = RecoveryMetrics(
-            replan_count=replans,
+            replan_count=len(replanned),
             rejoin_count=rejoins,
             consensus_rounds=consensus_rounds,
             time_to_recover=time_to_recover,
@@ -501,20 +398,7 @@ class ResilientExecutor:
 
     # ------------------------------------------------------------------
 
-    def _replan(
-        self, positions: np.ndarray, target_foi: FieldOfInterest, comm_range: float
-    ) -> MarchingResult:
-        """Plan the survivors afresh from their frozen (or rejoined) positions.
-
-        On frozen positions this is exactly what
-        :func:`~repro.marching.replan.replan_after_failure` plans.
-        """
-        swarm = Swarm(positions, RadioSpec.from_comm_range(comm_range))
-        return MarchingPlanner(self.config).plan(swarm, target_foi)
-
-    def _consensus(
-        self, positions: np.ndarray, comm_range: float, schedule: FaultSchedule
-    ) -> int:
+    def _consensus(self, frozen: CrashFreeze, schedule: FaultSchedule) -> int:
         """Survivor roster consensus under the schedule's message faults.
 
         A reliable flood over the survivors' communication graph; every
@@ -523,8 +407,8 @@ class ResilientExecutor:
         declared unrecoverable - so extreme message faults surface as
         the typed error, never as a hang.
         """
-        k = len(positions)
-        adjacency = UnitDiskGraph(positions, comm_range).adjacency
+        k = len(frozen.positions)
+        adjacency = frozen.adjacency()
         faults = schedule.comms
         loss = faults.loss_rate if faults is not None else 0.0
         # Reliable flood retransmits until acked, so its expected round
@@ -572,22 +456,3 @@ def _nominal_speed(original: MarchingResult) -> float:
     if duration <= 0:
         return 0.0
     return float(original.trajectory.path_lengths().max()) / duration
-
-
-def execute_with_faults(
-    swarm: Swarm,
-    target_foi: FieldOfInterest,
-    schedule: FaultSchedule,
-    config: MarchingConfig | None = None,
-    resolution: int = 16,
-    source_foi: FieldOfInterest | None = None,
-    original: MarchingResult | None = None,
-) -> ChaosRunReport:
-    """Convenience wrapper around :class:`ResilientExecutor`.
-
-    See :meth:`ResilientExecutor.execute`.
-    """
-    executor = ResilientExecutor(config=config, resolution=resolution)
-    return executor.execute(
-        swarm, target_foi, schedule, source_foi=source_foi, original=original
-    )

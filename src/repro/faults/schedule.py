@@ -55,9 +55,10 @@ class CrashFault:
         Mission fraction of the failure instant.
     robots : tuple[int, ...]
         Robot indices in the *original* numbering.  Ids that already
-        died earlier in the schedule are ignored by the executor (the
-        strict single-call API in :mod:`repro.marching.replan` rejects
-        them instead).
+        died earlier in the schedule are skipped by the crash freeze
+        step (:func:`repro.marching.replan.freeze_crash`);
+        :func:`~repro.marching.replan.replan_after_failure` validates
+        its own event sequences up front and rejects them instead.
     """
 
     at: float

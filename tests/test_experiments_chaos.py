@@ -5,8 +5,11 @@ import json
 import pytest
 
 from repro.experiments.chaos import (
+    _PLAN_CACHE,
+    _PLAN_CACHE_CAPACITY,
     ChaosCase,
     ChaosConfig,
+    _baseline,
     chaos_sweep,
     render_chaos,
     run_chaos_case,
@@ -65,6 +68,24 @@ class TestSweep:
         )
         assert doc["outcome"] in ("recovered", "unrecoverable")
         assert doc["robots"] == SMALL.robot_count
+
+    def test_plan_cache_is_bounded(self):
+        """More distinct baselines than the capacity must not grow the
+        memo past it; the least recently used entry goes first."""
+        _PLAN_CACHE.clear()
+        configs = [
+            ChaosConfig(
+                robot_count=64, foi_target_points=100, grid_target=300,
+                resolution=r,
+            )
+            for r in range(1, _PLAN_CACHE_CAPACITY + 2)
+        ]
+        for config in configs:
+            _baseline(1, config)
+        assert len(_PLAN_CACHE) == _PLAN_CACHE_CAPACITY
+        assert (1, configs[0]) not in _PLAN_CACHE
+        assert (1, configs[-1]) in _PLAN_CACHE
+        _PLAN_CACHE.clear()
 
 
 class TestChaosCli:

@@ -15,7 +15,6 @@ from repro.faults import (
     SlowFault,
     StuckFault,
     build_archetype_schedule,
-    execute_with_faults,
     rejoin_components,
 )
 from repro.foi import FieldOfInterest, ellipse_polygon
@@ -50,9 +49,8 @@ def mission():
 
 def run(mission, schedule, **kwargs):
     swarm, m2, original = mission
-    return execute_with_faults(
-        swarm, m2, schedule, config=FAST, resolution=8, original=original,
-        **kwargs,
+    return ResilientExecutor(FAST, resolution=8).execute(
+        swarm, m2, schedule, original=original, **kwargs
     )
 
 

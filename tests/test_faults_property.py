@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.coverage import LloydConfig
 from repro.errors import UnrecoverableError
-from repro.faults import execute_with_faults, random_schedule
+from repro.faults import ResilientExecutor, random_schedule
 from repro.foi import FieldOfInterest, ellipse_polygon
 from repro.marching import MarchingConfig, MarchingPlanner
 from repro.metrics import connectivity_report
@@ -52,9 +52,8 @@ class TestBinaryOutcome:
         swarm, m2, original = mission
         schedule = random_schedule(swarm.size, seed=seed)
         try:
-            report = execute_with_faults(
-                swarm, m2, schedule,
-                config=FAST, resolution=8, original=original,
+            report = ResilientExecutor(FAST, resolution=8).execute(
+                swarm, m2, schedule, original=original
             )
         except UnrecoverableError as exc:
             # The typed outcome: a stage name and a survivor count,
@@ -93,9 +92,8 @@ class TestBinaryOutcome:
 
         def one_run():
             try:
-                report = execute_with_faults(
-                    swarm, m2, schedule,
-                    config=FAST, resolution=8, original=original,
+                report = ResilientExecutor(FAST, resolution=8).execute(
+                    swarm, m2, schedule, original=original
                 )
                 return ("recovered", report.to_dict())
             except UnrecoverableError as exc:

@@ -1,5 +1,8 @@
 """Tests for mid-transition failure recovery."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -118,3 +121,26 @@ class TestReplan:
             # Geometry may keep survivors connected around the band;
             # then the recovery must simply succeed.
             assert outcome.survivors_connected
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def test_replan_is_the_one_crash_recovery_step():
+    """Only ``marching/replan.py`` remaps crash instants or checks the
+    survivors: every other module that handles a crash (the resilient
+    executor, the mission runner) goes through ``freeze_crash``."""
+    remappers, survivor_graphs = [], []
+    for path in sorted(SRC.rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        if name == "marching/replan.py":
+            continue
+        text = path.read_text()
+        if "_remap_event_time" in text:
+            remappers.append(name)
+        if re.search(r"\b(CrashFault|FailureEvent|freeze_crash)\b", text) and (
+            "UnitDiskGraph" in text
+        ):
+            survivor_graphs.append(name)
+    assert remappers == []
+    assert survivor_graphs == []
