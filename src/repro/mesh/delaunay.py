@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import Delaunay
 
-from repro.errors import MeshError
-from repro.foi.gridding import FoiPointSet, grid_foi
+from repro.errors import MeshError, TriangulationError
+from repro.foi.gridding import FoiPointSet, grid_foi, suggest_spacing
 from repro.foi.region import FieldOfInterest
 from repro.geometry.vec import as_points
 from repro.mesh.trimesh import TriMesh
@@ -118,6 +118,10 @@ class FoiMesh:
         return f"FoiMesh({self.foi.name!r}, {self.mesh!r})"
 
 
+#: Grid refinements :func:`triangulate_foi` tries (pitch x0.9 each).
+_REFINEMENTS = 6
+
+
 def triangulate_foi(
     foi: FieldOfInterest,
     spacing: float | None = None,
@@ -128,7 +132,10 @@ def triangulate_foi(
     Samples the FoI (boundary + interior grid), Delaunay-triangulates
     the samples, removes triangles whose centroid lies outside the free
     region (this carves out concavities and holes), and keeps the
-    largest connected component.
+    largest connected component.  The mesh must keep the FoI's topology
+    (one boundary loop per FoI loop, no pinched vertex) for the
+    harmonic map to exist; a grid too coarse for a narrow gap breaks
+    that, so the pitch is refined deterministically until it holds.
 
     Returns
     -------
@@ -136,10 +143,22 @@ def triangulate_foi(
 
     Raises
     ------
-    MeshError
-        If the surviving mesh is too small or structurally unsound.
+    TriangulationError
+        If the mesh is still unsound after ``_REFINEMENTS`` refinements.
     """
-    ps = grid_foi(foi, spacing=spacing, target_points=target_points)
+    if spacing is None:
+        spacing = suggest_spacing(foi, target_points)
+    for _ in range(_REFINEMENTS + 1):
+        try:
+            return _triangulate_grid(foi, grid_foi(foi, spacing=spacing))
+        except MeshError as exc:
+            error = exc
+            spacing *= 0.9
+    raise TriangulationError(f"{error} after {_REFINEMENTS} refinements") from error
+
+
+def _triangulate_grid(foi: FieldOfInterest, ps: FoiPointSet) -> FoiMesh:
+    """Triangulate one sampling of ``foi``; raise on the wrong topology."""
     pts = as_points(ps.points)
     # Triangulate in a translation-canonical frame (mean-centred,
     # snapped to a 1e-6 grid): qhull tie-breaks exactly co-circular
@@ -168,7 +187,7 @@ def triangulate_foi(
     keep &= inradius > 1e-9 * max(1.0, float(np.sqrt(foi.area)))
     t_idx = np.flatnonzero(keep)
     if len(t_idx) < 4:
-        raise MeshError("FoI triangulation kept too few triangles; refine spacing")
+        raise MeshError("FoI triangulation kept too few triangles")
     sub, vmap = TriMesh(full.vertices, full.triangles[t_idx]).largest_component()
     if not sub.is_connected():
         raise MeshError("FoI triangulation is disconnected after filtering")
@@ -176,6 +195,6 @@ def triangulate_foi(
     if len(sub.boundary_loops) != expected_loops:
         raise MeshError(
             f"FoI triangulation has {len(sub.boundary_loops)} boundary loops, "
-            f"expected {expected_loops}; adjust grid spacing"
+            f"expected {expected_loops}"
         )
     return FoiMesh(mesh=sub, foi=foi, point_set=ps, vertex_map=vmap)

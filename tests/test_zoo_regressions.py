@@ -10,15 +10,20 @@ re-examined from the command line.
 import numpy as np
 import pytest
 
+from repro.errors import TriangulationError
 from repro.experiments.zoo import (
     ZooCase,
     ZooConfig,
     ZooParams,
     build_foi,
+    build_zoo_scenario,
     hole_clearance,
     run_zoo_case,
 )
+from repro.experiments.zoo.families import draw_params
+from repro.foi.gridding import suggest_spacing
 from repro.io import dumps_canonical
+from repro.mesh import delaunay
 
 FAST = ZooConfig(
     robot_count=25, foi_target_points=120, grid_target=400, shrink=False
@@ -52,6 +57,71 @@ NEAR_TANGENT_ROUGH = ZooCase(
     params=ZooParams(lobes=3, hole_count=2, hole_area_fraction=0.1, roughness=0.25),
 )
 
+#: The Tier-1 property test's config
+#: (``tests/test_property_invariants.py::TestZooPipelineInvariants``).
+PROPERTY = ZooConfig(
+    robot_count=25,
+    foi_target_points=120,
+    grid_target=400,
+    methods=("ours (a)",),
+    shrink=False,
+)
+
+# Tier-1 draws whose M2 grid at 120 points was too coarse: the
+# triangulation lost a hole (2 boundary loops for 3 FoI loops) ...
+COARSE_LOST_HOLE = ZooCase(
+    "rough",
+    seed=46,
+    params=ZooParams(
+        lobes=3,
+        hole_count=2,
+        hole_area_fraction=0.04772326511768914,
+        roughness=0.24346910328430788,
+        min_corridor_width=0.3,
+    ),
+)
+
+# ... or pinched a boundary vertex between two triangle fans.
+COARSE_PINCH = ZooCase(
+    "rough",
+    seed=48,
+    params=ZooParams(
+        lobes=3,
+        hole_count=2,
+        hole_area_fraction=0.026878863109162564,
+        roughness=0.1327528535267326,
+        min_corridor_width=0.3,
+    ),
+)
+
+
+class TestCoarseTriangulationRefines:
+    """``triangulate_foi`` refines its own grid instead of failing."""
+
+    @pytest.mark.parametrize("case", [COARSE_LOST_HOLE, COARSE_PINCH])
+    def test_coarse_tier1_draw_passes(self, case):
+        assert case.params == draw_params(case.family, case.seed)
+        doc = run_zoo_case(case, PROPERTY)
+        assert doc["outcome"] == "pass", doc
+
+    def test_near_tangent_hole_passes_at_coarse_sampling(self):
+        doc = run_zoo_case(NEAR_TANGENT_ROUGH, FAST)
+        assert doc["outcome"] == "pass", doc
+
+    def test_refinement_is_bounded_and_typed(self, monkeypatch):
+        case = COARSE_LOST_HOLE
+        m2 = build_zoo_scenario(
+            case.family, case.seed, PROPERTY, params=case.params
+        ).m2
+        fm = delaunay.triangulate_foi(m2, target_points=120)
+        assert fm.point_set.spacing < suggest_spacing(m2, 120)
+        assert len(fm.mesh.boundary_loops) == 1 + len(m2.holes)
+        monkeypatch.setattr(delaunay, "_REFINEMENTS", 0)
+        with pytest.raises(TriangulationError) as err:
+            delaunay.triangulate_foi(m2, target_points=120)
+        assert err.value.stage == "triangulate_foi"
+        assert "boundary loops" in str(err.value)
+
 
 class TestPinnedHardInstances:
     def test_thin_corridor_passes(self):
@@ -81,7 +151,8 @@ class TestPinnedHardInstances:
 
     def test_near_tangent_hole_passes_at_adequate_sampling(self):
         # At 120 boundary points the sliver between hole and wall pinches
-        # the triangulation; 200 resolves it.  Pin the passing config.
+        # the first grid (triangulate_foi refines past it); 200 never
+        # pinches.  Pin the passing config.
         fine = ZooConfig(
             robot_count=25, foi_target_points=200, grid_target=400, shrink=False
         )
@@ -89,9 +160,9 @@ class TestPinnedHardInstances:
         assert doc["outcome"] == "pass", doc
 
     def test_coarse_sampling_fails_gracefully_and_deterministically(self):
-        # The same case under the coarse config must never raise: the
-        # campaign records a per-method error document, and the document
-        # bytes are replay-stable.
+        # The same case under the coarse config must never raise: any
+        # error is a per-method error document, and the document bytes
+        # are replay-stable.
         a = run_zoo_case(NEAR_TANGENT_ROUGH, FAST)
         b = run_zoo_case(NEAR_TANGENT_ROUGH, FAST)
         assert dumps_canonical(a) == dumps_canonical(b)
