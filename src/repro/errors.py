@@ -49,12 +49,14 @@ class CoverageError(ReproError):
 
 
 class ExecutionError(ReproError):
-    """A parallel-execution task failed permanently.
+    """A parallel-execution task or a service job failed permanently.
 
-    Raised by :class:`repro.exec.ParallelMap` after a task has exhausted
-    its retry budget - whether the worker raised, timed out, or the task
-    could not even be shipped to the worker (e.g. an unpicklable
-    payload on the process backend).  The original failure is chained as
+    Raised by :func:`repro.exec.parallel_map` when a chunk still fails
+    after its retry or the task function cannot be shipped to worker
+    processes (it does not pickle), by :func:`repro.exec.resolve_workers`
+    for a malformed ``REPRO_WORKERS``, and by the service's
+    :class:`~repro.service.ExecutorBridge` when a job's attempts all
+    raised or timed out.  The original failure is chained as
     ``__cause__`` when one exists.
     """
 

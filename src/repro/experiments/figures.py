@@ -76,7 +76,7 @@ def write_all_sweep_figures(
     """Sweep several scenarios (optionally in parallel) and write all panels.
 
     The sweeps fan out one worker task per scenario through
-    :class:`repro.exec.ParallelMap`; rendering happens in the parent, in
+    :func:`repro.exec.parallel_map`; rendering happens in the parent, in
     scenario order, so the emitted SVG bytes are identical for any
     ``workers`` count.
     """

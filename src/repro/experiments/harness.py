@@ -287,7 +287,7 @@ def _sweep_point_from_run(run: ScenarioRun) -> SweepPoint:
 def _scenario_task(task) -> ScenarioRun:
     """One ``run_scenario`` call, shaped for :func:`parallel_map`.
 
-    Module-level (hence picklable) so the process backend can ship it;
+    Module-level (hence picklable) so the process pool can ship it;
     ``task`` is ``(spec, separation, methods, run_kwargs)``.
     """
     spec, separation, methods, run_kwargs = task

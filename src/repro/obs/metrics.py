@@ -182,7 +182,7 @@ class Metrics:
 
         Counters add, gauges take the incoming value, histograms absorb
         the incoming summary.  This is how per-worker registries from
-        :class:`repro.exec.ParallelMap` land back in the parent; merging
+        :func:`repro.exec.parallel_map` land back in the parent; merging
         snapshots in task order keeps the combined registry
         deterministic regardless of worker scheduling.
         """

@@ -237,7 +237,7 @@ class Tracer:
     ) -> None:
         """Fold span dicts recorded by a *worker* tracer into this one.
 
-        Used by :class:`repro.exec.ParallelMap` to merge per-task
+        Used by :func:`repro.exec.parallel_map` to merge per-task
         traces back into the parent: span ids are remapped to fresh
         local ids (parent links within the batch are preserved), names
         and durations feed :meth:`phase_timings` exactly like locally

@@ -8,8 +8,8 @@ and :mod:`repro.obs` for per-request span trees and live metrics:
 * :class:`JobQueue` - bounded admission with priorities, request
   deduplication by content hash, and TTL-based result retention.
 * :class:`ExecutorBridge` - dispatcher threads that run each job
-  through a :class:`repro.exec.ParallelMap` (per-job timeout, bounded
-  retries, obs merge-back).
+  attempt on its own thread (per-attempt timeout, bounded retries,
+  spans nested under the job's on the server's tracer).
 * :class:`ShardRouter` - consistent-hash routing of content addresses
   onto shard workers, so a fleet deduplicates exactly like one queue.
 * :class:`JobJournal` - the write-ahead journal (fsynced, versioned,

@@ -1,25 +1,29 @@
-"""Bridge between the job store and the ``repro.exec`` engine.
+"""Bridge between the job store and the dispatcher threads that solve jobs.
 
 Dispatcher threads claim jobs off the :class:`~repro.service.jobs.JobQueue`
-and run each one through its own :class:`repro.exec.ParallelMap` - a
-single-task map, which buys exactly the engine semantics the service
-needs without re-implementing them: a per-job timeout that cannot hang
-the dispatcher, bounded retries, and per-task span/metric collection
-that merges back into the *server's* tracer and metrics registry.
+and run each one as a plain attempt loop: every attempt calls the runner
+on a fresh daemon thread inside a copy of the dispatcher's context, and
+the dispatcher joins it for at most ``job_timeout_s``.  A timed-out
+attempt is abandoned (its daemon thread cannot hold up process exit),
+and after ``retries + 1`` failed attempts the job fails with
+:class:`~repro.errors.ExecutionError`.  Timeouts and retries count in
+``exec.task_timeouts`` and ``exec.task_retries``.
 
-Each job produces the span tree the service promises per request::
+Because the attempt runs in the dispatcher's context, the runner's spans
+and metrics land directly on the *server's* tracer and registry, nested
+under the job's spans on the service clock::
 
     service.job
       service.queue_wait   (true queued duration, absorbed as a record)
       service.solve
-        exec.map ... (the engine + whatever the planner emits)
+        ... whatever the runner emits (e.g. the planner's spans)
       service.serialize
 
-and feeds the two histograms the HTTP layer reads back out:
+and each job feeds the two histograms the HTTP layer reads back out:
 ``service.queue_wait_s`` and ``service.job_duration_s`` (the latter is
 what ``Retry-After`` estimates are computed from).
 
-The engine runs on its ``thread`` backend: the solve shares the
+Attempts run on threads of the service process: the solve shares the
 service's in-process content cache (deduplicated scenario requests hit
 the same disk-map entries), numpy releases the GIL enough for the
 service's granularity, a runner closure does not need to pickle, and a
@@ -28,12 +32,12 @@ progress-aware runner streams its events straight into the job's log.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from typing import Any, Callable
 
 from repro.errors import ExecutionError
-from repro.exec import ParallelMap
 from repro.io import dumps_canonical
 from repro.obs import Metrics, Tracer, activate, activate_metrics, span
 
@@ -43,20 +47,22 @@ __all__ = ["ExecutorBridge"]
 
 
 class ExecutorBridge:
-    """Runs queued jobs on :class:`ParallelMap` workers.
+    """Runs queued jobs on dispatcher threads, one attempt thread at a time.
 
     Parameters
     ----------
     queue : JobQueue
     runner : callable
-        ``runner(request) -> JSON-serialisable dict``; executed inside a
-        ParallelMap worker, so it must not depend on ambient context
-        from the dispatcher thread (bind caches into the callable).
+        ``runner(request) -> JSON-serialisable dict``; each attempt runs
+        it on its own thread in a copy of the dispatcher's context (the
+        server's tracer and metrics, inside the job's spans).  Bind
+        caches into the callable.
     dispatchers : int
         Number of dispatcher threads = jobs in flight concurrently.
     job_timeout_s : float, optional
-        Per-job wall-clock budget, enforced by the engine (a timed-out
-        job fails; its abandoned worker cannot wedge the dispatcher).
+        Per-attempt wall-clock budget (a timed-out attempt is abandoned
+        on its daemon thread; it cannot wedge the dispatcher or hold up
+        process exit).
     retries : int
         Extra attempts for a failed or timed-out job.
     tracer, metrics
@@ -75,6 +81,8 @@ class ExecutorBridge:
     ) -> None:
         if dispatchers < 1:
             raise ValueError("dispatchers must be positive")
+        if retries < 0:
+            raise ValueError("retries must be non-negative")
         self.queue = queue
         self.runner = runner
         self.dispatchers = dispatchers
@@ -167,17 +175,6 @@ class ExecutorBridge:
             "service.job", job_id=job.job_id, priority=job.priority
         ) as job_span:
             self._absorb_queue_wait_span(job, queue_wait)
-            engine = ParallelMap(
-                backend="thread",
-                # Two workers keeps the engine on its pooled path (one
-                # worker degrades to serial, which cannot enforce the
-                # per-job timeout); only one ever gets a task.
-                workers=2,
-                timeout=self.job_timeout_s,
-                retries=self.retries,
-                seed=0,
-                collect_obs=True,
-            )
             runner = self.runner
             if getattr(runner, "supports_progress", False):
                 # Live streaming: the runner emits (kind, data) events
@@ -192,7 +189,7 @@ class ExecutorBridge:
             t0 = time.monotonic()
             try:
                 with span("service.solve", job_id=job.job_id):
-                    (doc,) = engine.map(runner, [job.request])
+                    doc = self._solve(runner, job.request)
                 if (
                     isinstance(doc, dict)
                     and doc.get("kind") == "mission_interrupted"
@@ -239,6 +236,35 @@ class ExecutorBridge:
             job_span.set_attributes(outcome="done", payload_bytes=len(payload))
             self.queue.complete(job.job_id, payload)
 
+    def _solve(
+        self, runner: Callable[[dict[str, Any]], Any], request: dict[str, Any]
+    ) -> Any:
+        """Run ``runner(request)``: at most ``retries + 1`` timed attempts."""
+        for attempt in range(self.retries + 1):
+            if attempt:
+                self.metrics.counter("exec.task_retries").inc()
+            outcome: dict[str, Any] = {}
+            thread = threading.Thread(
+                target=_attempt,
+                args=(contextvars.copy_context(), runner, request, outcome),
+                name="repro-service-attempt",
+                daemon=True,
+            )
+            thread.start()
+            thread.join(self.job_timeout_s)
+            if thread.is_alive():
+                self.metrics.counter("exec.task_timeouts").inc()
+                failure = TimeoutError(
+                    f"attempt exceeded the {self.job_timeout_s} s job timeout"
+                )
+            elif "doc" in outcome:
+                return outcome["doc"]
+            else:
+                failure = outcome.get("error")
+        raise ExecutionError(
+            f"job failed after {self.retries + 1} attempt(s): {failure!r}"
+        ) from failure
+
     def _absorb_queue_wait_span(self, job: Job, queue_wait: float) -> None:
         """Inject the already-elapsed queue wait as a real span record."""
         tracer = self.tracer
@@ -255,6 +281,19 @@ class ExecutorBridge:
                 "attributes": {"job_id": job.job_id, "origin": "service"},
             }
         ])
+
+
+def _attempt(
+    context: contextvars.Context,
+    runner: Callable[[dict[str, Any]], Any],
+    request: dict[str, Any],
+    outcome: dict[str, Any],
+) -> None:
+    """One attempt's thread body: the runner's result or error into ``outcome``."""
+    try:
+        outcome["doc"] = context.run(runner, request)
+    except Exception as exc:
+        outcome["error"] = exc
 
 
 def _with_progress(

@@ -49,8 +49,8 @@ Architecture: the asyncio event loop runs in a dedicated thread and
 only ever does bookkeeping (parse, admit, look up, serialise a status
 doc, relay progress events) - solves happen on
 :class:`~repro.service.executor_bridge.ExecutorBridge` dispatcher
-threads via :class:`repro.exec.ParallelMap`, so a slow plan never
-blocks health checks or admissions.  With ``service_workers > 1`` the
+threads, each job attempt on its own thread under the per-job timeout,
+so a slow plan never blocks health checks or admissions.  With ``service_workers > 1`` the
 queue itself is sharded: each shard worker owns a private
 :class:`~repro.service.jobs.JobQueue` plus its own dispatcher pool,
 and submissions are routed by consistent hash of the content address
@@ -130,11 +130,11 @@ def run_plan_request(request: dict[str, Any], cache: ContentCache | None = None)
     """Default job body: the experiment harness, under the service cache.
 
     Runs :func:`repro.experiments.run_scenarios` for the normalised
-    request and returns the versioned plan document.  Executed inside a
-    ParallelMap worker, so the service's content cache is bound in
-    explicitly (worker threads do not inherit the dispatcher's ambient
-    context) - this is what lets deduplicated and back-to-back jobs
-    share disk-map entries.
+    request and returns the versioned plan document.  Executed on a job
+    attempt thread in the dispatcher's context, which carries the
+    server's tracer and metrics but no cache, so the service's content
+    cache is bound in explicitly - this is what lets deduplicated and
+    back-to-back jobs share disk-map entries.
     """
     from repro.experiments import get_scenario, run_scenarios
 
@@ -262,7 +262,8 @@ class PlanningService:
         consistent hash of the content address while every shard shares
         the one content cache / disk store.
     job_timeout_s, retries
-        Per-job engine budget (see :class:`ExecutorBridge`).
+        Per-attempt timeout and extra attempts of every job (see
+        :class:`ExecutorBridge`).
     ttl_s : float
         Retention of finished jobs and their results.
     runner : callable, optional

@@ -5,7 +5,7 @@ import pytest
 
 from repro.coverage import LloydConfig
 from repro.errors import ScenarioError
-from repro.exec import ParallelMap
+from repro.exec import parallel_map
 from repro.experiments import random_foi, random_scenario
 from repro.experiments.zoo.validate import hole_clearance as clearance_of
 from repro.marching import MarchingConfig, MarchingPlanner
@@ -80,7 +80,7 @@ class TestHoleClearance:
 
 
 def _scenario_digest(seed: int) -> str:
-    """Module-level so the process backend can pickle it."""
+    """Module-level so the process pool can pickle it."""
     import hashlib
 
     sc = random_scenario(seed, robot_count=36)
@@ -109,10 +109,8 @@ class TestGeneratorEdgeCases:
     def test_seed_to_scenario_deterministic_across_processes(self):
         seeds = [0, 1, 50]
         local = [_scenario_digest(s) for s in seeds]
-        remote = ParallelMap(backend="process", workers=2).map(
-            _scenario_digest, seeds
-        )
-        assert local == list(remote)
+        remote = parallel_map(_scenario_digest, seeds, workers=2)
+        assert local == remote
 
 
 class TestRandomScenario:

@@ -16,16 +16,21 @@ PACKAGES = [
     "repro.coverage",
     "repro.distributed",
     "repro.distributed.protocols",
+    "repro.exec",
     "repro.experiments",
+    "repro.experiments.zoo",
+    "repro.faults",
     "repro.foi",
     "repro.geometry",
     "repro.harmonic",
     "repro.marching",
     "repro.mesh",
     "repro.metrics",
+    "repro.missions",
     "repro.network",
     "repro.obs",
     "repro.robots",
+    "repro.service",
     "repro.viz",
 ]
 

@@ -7,14 +7,40 @@ introspection endpoints without ever running a real solve.
 """
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ServiceError
 from repro.io import dumps_canonical
+from repro.obs import span
 from repro.service import PlanningService, QueueFull, ServiceClient
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: A service whose only job outlives its timeout by 20 s, then exits.
+TIMED_OUT_JOB_SCRIPT = """
+import time
+from repro.service import PlanningService, ServiceClient
+
+def sleeper(request):
+    time.sleep(20.0)
+    return {}
+
+svc = PlanningService(
+    port=0, dispatchers=1, runner=sleeper, job_timeout_s=0.2, retries=0
+)
+with svc:
+    client = ServiceClient(port=svc.port)
+    submitted = client.submit([1])
+    status = client.wait(submitted["job_id"], timeout=10.0)
+    assert status["state"] == "failed", status
+"""
 
 
 def echo_runner(request):
@@ -252,6 +278,21 @@ class TestFailurePaths:
                 client.cancel(first["job_id"])
             gate.set()
 
+    def test_timed_out_job_does_not_hold_up_exit(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        start = time.monotonic()
+        result = subprocess.run(
+            [sys.executable, "-c", TIMED_OUT_JOB_SCRIPT],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        elapsed = time.monotonic() - start
+        assert result.returncode == 0, result.stderr[-2000:]
+        # The abandoned attempt is still sleeping; exit must not wait.
+        assert elapsed < 10.0
+
 
 class TestGracefulShutdown:
     def test_drain_rejects_new_and_finishes_running(self):
@@ -353,6 +394,31 @@ class TestIntrospection:
             record["attributes"].get("job_id") == submitted["job_id"]
             for record in job_spans
         )
+
+    def test_runner_spans_nest_under_service_solve(self):
+        def traced_runner(request):
+            with span("runner.work"):
+                time.sleep(0.01)
+            return {"ok": True}
+
+        with PlanningService(port=0, dispatchers=1, runner=traced_runner) as svc:
+            client = ServiceClient(port=svc.port)
+            submitted = client.submit([1])
+            client.wait(submitted["job_id"], timeout=10.0)
+            spans = client.tracez()["spans"]
+        by_id = {record["span_id"]: record for record in spans}
+        (work,) = [r for r in spans if r["name"] == "runner.work"]
+        ancestors = []
+        parent_id = work["parent_id"]
+        while parent_id is not None:
+            ancestors.append(by_id[parent_id]["name"])
+            parent_id = by_id[parent_id]["parent_id"]
+        assert ancestors == ["service.solve", "service.job"]
+        # One clock: the runner's span starts inside the solve span.
+        solve = by_id[work["parent_id"]]
+        assert solve["t_start"] <= work["t_start"]
+        assert work["t_start"] <= solve["t_start"] + solve["duration_s"]
+        assert "task_index" not in work["attributes"]
 
     def test_per_endpoint_latency_histograms(self, client):
         client.healthz()
