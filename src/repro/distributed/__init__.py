@@ -7,7 +7,6 @@ from repro.distributed.protocols import (
     FloodSumNode,
     ReliableFloodNode,
     SubgroupDetectionNode,
-    distributed_rotation_search,
     flood_aggregate,
     reliable_flood_aggregate,
     run_boundary_loop_protocol,
@@ -28,7 +27,6 @@ __all__ = [
     "ReliableFloodNode",
     "SubgroupDetectionNode",
     "SyncNetwork",
-    "distributed_rotation_search",
     "flood_aggregate",
     "reliable_flood_aggregate",
     "run_boundary_loop_protocol",

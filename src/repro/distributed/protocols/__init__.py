@@ -13,10 +13,7 @@ from repro.distributed.protocols.reliable_flood import (
     ReliableFloodNode,
     reliable_flood_aggregate,
 )
-from repro.distributed.protocols.rotation_search import (
-    DistributedRotationSearch,
-    distributed_rotation_search,
-)
+from repro.distributed.protocols.rotation_search import DistributedRotationSearch
 from repro.distributed.protocols.subgroup import (
     SubgroupDetectionNode,
     run_subgroup_detection,
@@ -29,7 +26,6 @@ __all__ = [
     "FloodSumNode",
     "ReliableFloodNode",
     "SubgroupDetectionNode",
-    "distributed_rotation_search",
     "flood_aggregate",
     "reliable_flood_aggregate",
     "run_boundary_loop_protocol",

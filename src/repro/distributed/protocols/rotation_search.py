@@ -20,14 +20,13 @@ Each robot here:
   interval-halving step - keeping the swarm's search state consistent
   without a leader.
 
-The protocol result is bit-identical to the centralized
-:func:`repro.harmonic.rotation.hierarchical_angle_search` over the
-matching objective, which is what the equivalence test asserts.
+That halving step is :func:`repro.harmonic.rotation.hierarchical_angle_search`
+itself, run over the flooded global score: the protocol changes only
+how a candidate angle is scored, not how the search proceeds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,20 +34,11 @@ import numpy as np
 from repro.distributed.protocols.flooding import flood_aggregate
 from repro.errors import ProtocolError
 from repro.geometry.vec import rotate
-from repro.harmonic.rotation import TWO_PI, AngleSearchResult
+from repro.harmonic.rotation import AngleSearchResult, hierarchical_angle_search
 from repro.harmonic.transfer import InducedMap
-from repro.obs import get_metrics, span
+from repro.obs import span
 
-__all__ = ["DistributedRotationSearch", "distributed_rotation_search"]
-
-
-@dataclass(frozen=True)
-class _Candidate:
-    """One angle evaluation: per-robot mapped positions and local scores."""
-
-    angle: float
-    targets: np.ndarray
-    global_score: float
+__all__ = ["DistributedRotationSearch"]
 
 
 class DistributedRotationSearch:
@@ -96,8 +86,8 @@ class DistributedRotationSearch:
 
     # ------------------------------------------------------------------
 
-    def _evaluate(self, angle: float, maximize: bool) -> _Candidate:
-        """One candidate angle: local scores flooded to a global one."""
+    def _evaluate(self, angle: float, maximize: bool) -> tuple[np.ndarray, float]:
+        """One candidate angle: the mapped targets and the flooded score."""
         # Every robot maps its own rotated disk point (local computation).
         rotated = rotate(self.disk, angle)
         targets = np.array([self.induced.map_point(p) for p in rotated])
@@ -121,7 +111,7 @@ class DistributedRotationSearch:
         self.flood_rounds += 1
         if max(totals) - min(totals) > 1e-6 * max(1.0, abs(totals[0])):
             raise ProtocolError("robots disagree on the flooded score")
-        return _Candidate(angle=angle, targets=targets, global_score=totals[0])
+        return targets, totals[0]
 
     def run(
         self,
@@ -132,73 +122,28 @@ class DistributedRotationSearch:
         """Execute the search; returns the result and the winning targets."""
         if depth < 0:
             raise ProtocolError("depth must be non-negative")
+        targets_at: dict[float, np.ndarray] = {}
+
+        def flooded_score(angle: float) -> float:
+            targets_at[angle], score = self._evaluate(angle, maximize)
+            return score
+
         with span(
             "distributed.rotation_search",
             depth=depth,
             initial_samples=initial_samples,
             robots=len(self.disk),
         ) as sp:
-            best: _Candidate | None = None
-            evaluations = 0
-            width = TWO_PI / max(1, initial_samples)
-            for i in range(max(1, initial_samples)):
-                cand = self._evaluate(((i + 0.5) * width) % TWO_PI, maximize)
-                evaluations += 1
-                if best is None or cand.global_score > best.global_score:
-                    best = cand
-            assert best is not None
-            lo = best.angle - width / 2.0
-            hi = best.angle + width / 2.0
-            for _ in range(depth):
-                mid = 0.5 * (lo + hi)
-                left = self._evaluate((0.5 * (lo + mid)) % TWO_PI, maximize)
-                right = self._evaluate((0.5 * (mid + hi)) % TWO_PI, maximize)
-                evaluations += 2
-                if left.global_score >= right.global_score:
-                    hi = mid
-                    if left.global_score > best.global_score:
-                        best = left
-                else:
-                    lo = mid
-                    if right.global_score > best.global_score:
-                        best = right
-            # One last flooded evaluation of the final bracket's centre,
-            # mirroring the centralized search so the two stay
-            # bit-identical and share the ``initial + 2*depth + 1``
-            # evaluation budget.
-            final = self._evaluate((0.5 * (lo + hi)) % TWO_PI, maximize)
-            evaluations += 1
-            if final.global_score > best.global_score:
-                best = final
-            result = AngleSearchResult(
-                angle=best.angle % TWO_PI,
-                score=best.global_score,
-                evaluations=evaluations,
+            # The flooded score is already sign-normalised (method (b)
+            # negates each robot's distance), so the search maximises.
+            result = hierarchical_angle_search(
+                flooded_score, depth=depth, initial_samples=initial_samples
             )
             sp.set_attributes(
                 angle=result.angle,
-                evaluations=evaluations,
+                evaluations=result.evaluations,
                 flood_rounds=self.flood_rounds,
             )
-        get_metrics().counter("rotation.objective_evaluations").inc(evaluations)
-        return result, best.targets
-
-
-def distributed_rotation_search(
-    induced: InducedMap,
-    disk_positions,
-    start_positions,
-    links,
-    comm_range: float,
-    adjacency,
-    depth: int = 4,
-    initial_samples: int = 4,
-    maximize: bool = True,
-) -> tuple[AngleSearchResult, np.ndarray]:
-    """Convenience wrapper around :class:`DistributedRotationSearch`."""
-    search = DistributedRotationSearch(
-        induced, np.asarray(disk_positions, float),
-        np.asarray(start_positions, float),
-        links, comm_range, adjacency,
-    )
-    return search.run(depth=depth, initial_samples=initial_samples, maximize=maximize)
+        # The search hands the objective ``angle % 2pi`` and returns its
+        # best angle the same way, so the key is exact.
+        return result, targets_at[result.angle]

@@ -25,7 +25,7 @@ from repro.experiments.crashrec import (
     render_crashrec,
     run_crashrec,
 )
-from repro.experiments.figures import write_all_sweep_figures, write_sweep_figures
+from repro.experiments.figures import write_sweep_figures
 from repro.experiments.loadgen import (
     LoadgenConfig,
     build_schedule,
@@ -123,7 +123,6 @@ __all__ = [
     "sweep_many",
     "sweep_separations",
     "synthetic_swarm_positions",
-    "write_all_sweep_figures",
     "write_report",
     "write_sweep_figures",
 ]

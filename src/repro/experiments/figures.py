@@ -10,11 +10,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
-from repro.experiments.harness import SweepResult, sweep_many
-from repro.experiments.scenarios import get_scenario
+from repro.experiments.harness import SweepResult
 from repro.viz.chart import LineChart
 
-__all__ = ["write_sweep_figures", "write_all_sweep_figures"]
+__all__ = ["write_sweep_figures"]
 
 
 def write_sweep_figures(
@@ -64,30 +63,3 @@ def write_sweep_figures(
     links.save(written[-1])
     return written
 
-
-def write_all_sweep_figures(
-    scenario_ids: Sequence[int],
-    directory,
-    separation_factors=(10.0, 40.0, 70.0, 100.0),
-    methods: Sequence[str] = ("ours (a)", "ours (b)", "direct translation", "Hungarian"),
-    workers: int | None = None,
-    **run_kwargs,
-) -> list[Path]:
-    """Sweep several scenarios (optionally in parallel) and write all panels.
-
-    The sweeps fan out one worker task per scenario through
-    :func:`repro.exec.parallel_map`; rendering happens in the parent, in
-    scenario order, so the emitted SVG bytes are identical for any
-    ``workers`` count.
-    """
-    sweeps = sweep_many(
-        [get_scenario(sid) for sid in scenario_ids],
-        separation_factors=separation_factors,
-        methods=methods,
-        workers=workers,
-        **run_kwargs,
-    )
-    written: list[Path] = []
-    for sweep in sweeps:
-        written.extend(write_sweep_figures(sweep, directory, methods))
-    return written

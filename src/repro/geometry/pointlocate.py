@@ -22,23 +22,12 @@ from repro.geometry.barycentric import (
     barycentric_coords_many,
     barycentric_coords_paired,
 )
-from repro.geometry.vec import as_point, as_points
+from repro.geometry.vec import as_point, as_points, expand_ragged
 
 __all__ = ["TriangleLocator"]
 
 # Row budget per chunk of the dense miss-recovery distance matrix.
 _NEAREST_CHUNK_ELEMENTS = 4_000_000
-
-
-def _expand_ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat index array ``[s, s+1, .., s+c-1]`` per ``(s, c)`` row."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return np.repeat(starts, counts) + offsets
 
 
 class TriangleLocator:
@@ -170,7 +159,7 @@ class TriangleLocator:
 
         query_ids = np.repeat(np.arange(k, dtype=np.int64), counts)
         cand = self._bucket_tris[
-            _expand_ragged(np.where(found, self._bucket_start[g_clip], 0), counts)
+            expand_ragged(np.where(found, self._bucket_start[g_clip], 0), counts)
         ]
         bary = barycentric_coords_paired(
             pts[query_ids], self._ta[cand], self._tb[cand], self._tc[cand]

@@ -130,7 +130,9 @@ def project_point_on_segment(p, a, b) -> np.ndarray:
     d = b - a
     denom = float(d @ d)
     if denom < _EPS:
-        return a.copy()
+        # Too short to project onto: take the nearer endpoint.
+        pa, pb = p - a, p - b
+        return (b if pb @ pb < pa @ pa else a).copy()
     t = float(np.clip((p - a) @ d / denom, 0.0, 1.0))
     return a + t * d
 

@@ -28,6 +28,7 @@ __all__ = [
     "lerp",
     "polyline_length",
     "angle_of",
+    "expand_ragged",
 ]
 
 
@@ -170,3 +171,14 @@ def angle_of(v) -> float:
     v = as_point(v)
     ang = float(np.arctan2(v[1], v[0]))
     return ang + 2.0 * np.pi if ang < 0 else ang
+
+
+def expand_ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat index array ``[s, s+1, .., s+c-1]`` per ``(s, c)`` row."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    offsets = np.arange(total, dtype=np.int64) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+    return np.repeat(starts, counts) + offsets

@@ -18,10 +18,12 @@ harmonic interior solve      the sparse solver - proven sweep-for-sweep
                              the test suite; running tens of thousands
                              of Jacobi message rounds per plan would
                              only burn time, not add fidelity
-rotation-angle search        per-robot local scores flooded to a
+rotation-angle search        the centralized halving search over
+                             per-robot local scores flooded to a
                              global one (Sec. III-B / III-D2)
-isolation detection          boundary-flood subgroup protocol
-                             (Sec. III-D1), escorts as in the paper
+connectivity repair          :func:`~repro.marching.repair.repair_targets`
+                             with the boundary-flood subgroup protocol
+                             as its flood (Sec. III-D1)
 ===========================  =========================================
 
 Straggler escort, FoI projection, the Lloyd adjustment (already a
@@ -39,24 +41,19 @@ import numpy as np
 from repro.distributed.protocols.boundary_loop import run_boundary_loop_protocol
 from repro.distributed.protocols.rotation_search import DistributedRotationSearch
 from repro.distributed.protocols.subgroup import run_subgroup_detection
-from repro.errors import PlanningError
 from repro.harmonic.boundary import circle_positions
 from repro.harmonic.diskmap import DiskMap
 from repro.harmonic.rotation import AngleSearchResult
 from repro.harmonic.solvers import solve_linear
 from repro.harmonic.transfer import InducedMap
 from repro.marching.planner import MarchingConfig, MarchingPlanner
+from repro.marching.repair import repair_targets
 from repro.marching.result import RepairInfo
 from repro.mesh.holes import fill_holes
 from repro.mesh.trimesh import TriMesh
 from repro.network.extract import extract_triangulation_localized
-from repro.network.graphs import adjacency_from_edges, connected_components
-from repro.network.links import links_alive
 
 __all__ = ["DistributedMarchingPlanner"]
-
-#: Escort rounds before the protocol repair gives up.
-_REPAIR_ROUNDS = 10
 
 
 class DistributedMarchingPlanner(MarchingPlanner):
@@ -135,54 +132,13 @@ class DistributedMarchingPlanner(MarchingPlanner):
         anchors: tuple[int, ...],
         comm_range: float,
     ) -> tuple[np.ndarray, RepairInfo]:
-        """Sec. III-D1 with the subgroup-detection *protocol* in the loop."""
-        q = q.copy()
-        n = len(p)
-        escorted: dict[int, int] = {}
-        isolated_before = -1
-        full_adj = adjacency_from_edges(n, links)
-        for round_idx in range(1, _REPAIR_ROUNDS + 1):
-            alive = links_alive(links, q, comm_range) & links_alive(
-                links, p, comm_range
-            )
-            preserved_adj = adjacency_from_edges(n, links[alive])
-            isolated, hops = run_subgroup_detection(anchors, preserved_adj)
-            if round_idx == 1:
-                isolated_before = len(isolated)
-            if not isolated:
-                return q, RepairInfo(
-                    escorted=tuple(sorted(escorted)),
-                    references=dict(escorted),
-                    rounds=round_idx,
-                    isolated_before=isolated_before,
-                )
-            iso_set = set(isolated)
-            # Group isolated robots over preserved links.
-            sub_adj = [
-                [w for w in preserved_adj[v] if w in iso_set] if v in iso_set else []
-                for v in range(n)
-            ]
-            comps = [c for c in connected_components(sub_adj) if set(c) <= iso_set]
-            progressed = False
-            for comp in comps:
-                best = None
-                pair = None
-                for v in comp:
-                    for w in full_adj[v]:
-                        if hops[w] is None:
-                            continue
-                        d = float(np.hypot(*(p[v] - p[w])))
-                        key = (hops[w], d)
-                        if best is None or key < best:
-                            best, pair = key, (v, w)
-                if pair is None:
-                    continue
-                _, ref = pair
-                disp = q[ref] - p[ref]
-                for member in comp:
-                    q[member] = p[member] + disp
-                    escorted[member] = ref
-                progressed = True
-            if not progressed:
-                raise PlanningError("distributed repair stalled")
-        raise PlanningError("distributed repair did not converge")
+        """Sec. III-D1 with the subgroup-detection *protocol* as the flood."""
+        return repair_targets(
+            p, q, comm_range, anchors, links=links, reach=_protocol_hops
+        )
+
+
+def _protocol_hops(adjacency: list[list[int]], anchors: list[int]) -> np.ndarray:
+    """Boundary hop counts from the protocol, ``-1`` for isolated robots."""
+    _, hops = run_subgroup_detection(anchors, adjacency)
+    return np.array([-1 if h is None else h for h in hops], dtype=int)

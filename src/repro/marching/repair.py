@@ -27,6 +27,8 @@ breaking connectivity (step-halving rule).
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
 from repro.errors import PlanningError
@@ -48,6 +50,7 @@ def repair_targets(
     comm_range: float,
     boundary_anchors,
     links: np.ndarray | None = None,
+    reach: Callable[[Sequence[Sequence[int]], list[int]], np.ndarray] = bfs_hops,
 ) -> tuple[np.ndarray, RepairInfo]:
     """Adjust ``targets`` so no robot loses its path to the boundary.
 
@@ -63,6 +66,10 @@ def repair_targets(
     links : (m, 2) int array, optional
         The M1 communication links; recomputed from ``starts`` when
         omitted.
+    reach : callable(adjacency, anchors) -> (n,) int ndarray
+        The boundary flood over the surviving links: every robot's hop
+        distance to the nearest anchor, ``-1`` where it never arrives.
+        The distributed planner passes the subgroup-detection protocol.
 
     Returns
     -------
@@ -101,7 +108,7 @@ def repair_targets(
             )
             surviving = links[alive]
             adj = adjacency_from_edges(n, surviving)
-            hops = bfs_hops(adj, anchors)
+            hops = reach(adj, anchors)
             isolated = np.flatnonzero(hops < 0)
             if round_idx == 1:
                 isolated_before = len(isolated)

@@ -11,7 +11,7 @@ validation.  :class:`TriMesh` provides them over plain numpy arrays.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -362,8 +362,3 @@ class TriMesh:
             (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
             - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
         )
-
-    def ordered_boundary_positions(self, loop: Sequence[int] | None = None) -> np.ndarray:
-        """Coordinates of a boundary loop (default: outer) in loop order."""
-        lp = self.outer_boundary_loop if loop is None else list(loop)
-        return self.vertices[np.array(lp, dtype=int)]

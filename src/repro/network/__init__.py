@@ -11,7 +11,7 @@ from repro.network.graphs import (
     bfs_hops,
     connected_components,
 )
-from repro.network.links import LinkTable, count_surviving_links, links_alive
+from repro.network.links import LinkTable, links_alive
 from repro.network.udg import UnitDiskGraph, udg_edges
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "adjacency_from_edges",
     "bfs_hops",
     "connected_components",
-    "count_surviving_links",
     "edge_shared_neighbor_counts",
     "extract_triangulation",
     "extract_triangulation_localized",

@@ -16,7 +16,7 @@ import numpy as np
 from repro.geometry.vec import as_points
 from repro.network.udg import UnitDiskGraph, udg_edges
 
-__all__ = ["LinkTable", "links_alive", "count_surviving_links"]
+__all__ = ["LinkTable", "links_alive"]
 
 
 def links_alive(links: np.ndarray, positions, comm_range: float) -> np.ndarray:
@@ -35,11 +35,6 @@ def links_alive(links: np.ndarray, positions, comm_range: float) -> np.ndarray:
         return np.zeros(0, dtype=bool)
     d = pts[links[:, 0]] - pts[links[:, 1]]
     return np.hypot(d[:, 0], d[:, 1]) <= comm_range
-
-
-def count_surviving_links(links: np.ndarray, positions, comm_range: float) -> int:
-    """Number of ``links`` still in range at ``positions``."""
-    return int(links_alive(links, positions, comm_range).sum())
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.vec import as_points, pairwise_distances
+from repro.geometry.vec import as_points, expand_ragged, pairwise_distances
 
 __all__ = ["UnitDiskGraph", "udg_edges"]
 
@@ -56,17 +56,6 @@ def _udg_edges_bruteforce(positions, comm_range: float) -> np.ndarray:
     iu, ju = np.triu_indices(len(pts), k=1)
     mask = d[iu, ju] <= comm_range
     return np.column_stack([iu[mask], ju[mask]]).astype(int)
-
-
-def _expand_ragged(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat index array ``[s, s+1, .., s+c-1]`` per ``(s, c)`` row."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return np.repeat(starts, counts) + offsets
 
 
 def _candidate_pairs(pts: np.ndarray, comm_range: float) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +95,7 @@ def _candidate_pairs(pts: np.ndarray, comm_range: float) -> tuple[np.ndarray, np
     later = group_end - pos - 1
     if later.sum() > 0:
         pair_i.append(np.repeat(pos, later))
-        pair_j.append(_expand_ragged(pos + 1, later))
+        pair_j.append(expand_ragged(pos + 1, later))
 
     # Cross-cell pairs against the four half-plane neighbour cells.
     for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
@@ -129,7 +118,7 @@ def _candidate_pairs(pts: np.ndarray, comm_range: float) -> tuple[np.ndarray, np
         g = g_clip[found]
         counts = ucount[g]
         pair_i.append(np.repeat(vpos, counts))
-        pair_j.append(_expand_ragged(ustart[g], counts))
+        pair_j.append(expand_ragged(ustart[g], counts))
 
     if not pair_i:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
@@ -249,7 +238,7 @@ class UnitDiskGraph:
         """Unique neighbours of all ``frontier`` nodes (one numpy pass)."""
         indptr, indices = self._csr
         counts = indptr[frontier + 1] - indptr[frontier]
-        flat = indices[_expand_ragged(indptr[frontier], counts)]
+        flat = indices[expand_ragged(indptr[frontier], counts)]
         return np.unique(flat)
 
     @cached_property

@@ -30,7 +30,6 @@ import hashlib
 import json
 import os
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
@@ -450,12 +449,3 @@ def _pid_alive(pid: int) -> bool:
     except OSError:
         return False
     return True
-
-
-def wall_clock() -> float:
-    """Wall-clock seconds since the epoch (journal eviction timestamps).
-
-    Isolated here so tests can monkeypatch journal time without touching
-    the queue's monotonic clock.
-    """
-    return time.time()

@@ -121,6 +121,14 @@ class TestProjection:
     def test_degenerate_segment(self):
         assert np.allclose(project_point_on_segment([5, 5], [1, 1], [1, 1]), [1, 1])
 
+    def test_degenerate_segment_takes_nearer_endpoint(self):
+        # A hypothesis draw for test_projection_is_closest: the segment
+        # is shorter than the degeneracy cut-off and ``b`` is ``p``.
+        p, a, b = (0.0, 0.0), (0.0, 1.192092896e-07), (0.0, 0.0)
+        assert project_point_on_segment(p, a, b).tolist() == [0.0, 0.0]
+        assert point_segment_distance(p, a, b) == 0.0
+        assert project_point_on_segment(p, b, a).tolist() == [0.0, 0.0]
+
     @given(point, point, point)
     def test_projection_is_closest(self, p, a, b):
         q = project_point_on_segment(p, a, b)
