@@ -34,7 +34,12 @@ import numpy as np
 from repro.errors import PlanningError
 from repro.geometry.vec import as_points
 from repro.marching.result import RepairInfo
-from repro.network.graphs import adjacency_from_edges, bfs_hops, connected_components
+from repro.network.graphs import (
+    adjacency_from_edges,
+    bfs_hops,
+    component_labels,
+    components_largest_first,
+)
 from repro.network.links import links_alive
 from repro.network.udg import UnitDiskGraph
 from repro.obs import get_metrics, span
@@ -93,6 +98,8 @@ def repair_targets(
     if links is None:
         links = UnitDiskGraph(p, comm_range).edges
     links = np.asarray(links, dtype=int).reshape(-1, 2)
+    # Physical one-range neighbours in M1 (any link, surviving or not).
+    full_adj = adjacency_from_edges(n, links)
 
     escorted: dict[int, int] = {}
     isolated_before = -1
@@ -109,10 +116,10 @@ def repair_targets(
             surviving = links[alive]
             adj = adjacency_from_edges(n, surviving)
             hops = reach(adj, anchors)
-            isolated = np.flatnonzero(hops < 0)
+            iso = hops < 0
             if round_idx == 1:
-                isolated_before = len(isolated)
-            if len(isolated) == 0:
+                isolated_before = int(iso.sum())
+            if not iso.any():
                 rec.set_attributes(
                     rounds=round_idx,
                     isolated_before=isolated_before,
@@ -129,22 +136,12 @@ def repair_targets(
                     isolated_before=isolated_before,
                 )
 
-            # Group the isolated robots into subgroups over surviving
-            # links.
-            iso_set = set(isolated.tolist())
-            sub_adj = [
-                [w for w in adj[v] if w in iso_set] if v in iso_set else []
-                for v in range(n)
-            ]
-            # connected_components returns singletons for non-isolated
-            # nodes too; keep only the genuinely isolated components.
-            comps = [
-                c for c in connected_components(sub_adj) if set(c) <= iso_set
-            ]
-
-            # Physical one-range neighbours in M1 (any link, surviving or
-            # not).
-            full_adj = adjacency_from_edges(n, links)
+            # The isolated subgroups: components over the surviving links
+            # whose two ends are both isolated (every other robot is a
+            # singleton there, so keep the components of isolated robots).
+            both = iso[surviving[:, 0]] & iso[surviving[:, 1]]
+            labels = component_labels(n, surviving[both])
+            comps = [c for c in components_largest_first(labels) if iso[c[0]]]
 
             progressed = False
             for comp in comps:

@@ -22,41 +22,41 @@ __all__ = ["remove_pinches", "vertex_fans"]
 _MAX_PASSES = 50
 
 
+def _fan_labels(mesh: TriMesh) -> np.ndarray:
+    """Fan label of every triangle corner; corner ``3 * t + k`` is ``triangles[t, k]``.
+
+    Two corners of one vertex share a fan when their triangles share an
+    edge through that vertex.  Fans are numbered by their lowest corner,
+    so a vertex's fans come in the order of their lowest triangle.
+    """
+    # Imported here: repro.network imports repro.mesh.
+    from repro.network.graphs import component_labels
+
+    tris = mesh.triangles
+    t0, t1, v = np.array(
+        [(ts[0], t, v) for edge, ts in mesh.edge_triangles.items() for t in ts[1:] for v in edge],
+        dtype=np.int64,
+    ).reshape(-1, 3).T
+
+    def corner(t: np.ndarray) -> np.ndarray:
+        return 3 * t + np.argmax(tris[t] == v[:, None], axis=1)
+
+    return component_labels(3 * len(tris), np.column_stack([corner(t0), corner(t1)]))
+
+
 def vertex_fans(mesh: TriMesh, vertex: int) -> list[list[int]]:
     """Groups of ``vertex``'s incident triangles connected via shared edges.
 
     Two incident triangles belong to the same fan when they share an
     edge that contains ``vertex``.  A manifold vertex has exactly one
-    fan; a pinched vertex has several.
+    fan; a pinched vertex has several.  Largest fan first, ties by
+    lowest triangle; each fan lists its triangles in ascending order.
     """
-    incident = mesh.vertex_triangles[vertex]
-    if not incident:
-        return []
-    # Map: other-vertex -> triangles using edge (vertex, other).
-    by_edge: dict[int, list[int]] = {}
-    for t in incident:
-        for u in mesh.triangles[t]:
-            u = int(u)
-            if u != vertex:
-                by_edge.setdefault(u, []).append(t)
-    # Union triangles sharing an edge at `vertex`.
-    parent = {t: t for t in incident}
+    from repro.network.graphs import components_largest_first
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for tris in by_edge.values():
-        for other in tris[1:]:
-            ra, rb = find(tris[0]), find(other)
-            if ra != rb:
-                parent[rb] = ra
-    fans: dict[int, list[int]] = {}
-    for t in incident:
-        fans.setdefault(find(t), []).append(t)
-    return sorted(fans.values(), key=len, reverse=True)
+    corners = np.flatnonzero(mesh.triangles.ravel() == vertex)
+    fans = np.unique(_fan_labels(mesh)[corners], return_inverse=True)[1]
+    return [(corners[f] // 3).tolist() for f in components_largest_first(fans)]
 
 
 def remove_pinches(mesh: TriMesh) -> tuple[TriMesh, np.ndarray]:
@@ -76,19 +76,22 @@ def remove_pinches(mesh: TriMesh) -> tuple[TriMesh, np.ndarray]:
     current = mesh
     vmap = np.arange(mesh.vertex_count)
     for _ in range(_MAX_PASSES):
-        # Find pinched vertices: more than one incident fan.
-        drop: set[int] = set()
-        for v in range(current.vertex_count):
-            fans = vertex_fans(current, v)
-            if len(fans) > 1:
-                for fan in fans[1:]:
-                    drop.update(fan)
-        if not drop:
+        # Each vertex keeps its largest fan (ties: the lowest triangle's)
+        # and drops the triangles of every other fan.
+        labels = _fan_labels(current)
+        sizes = np.bincount(labels)
+        fan_vertex = np.empty(len(sizes), dtype=np.int64)
+        fan_vertex[labels] = current.triangles.ravel()
+        order = np.lexsort((-sizes, fan_vertex))
+        kept = np.zeros(len(sizes), dtype=bool)
+        kept[order[np.diff(fan_vertex[order], prepend=-1) != 0]] = True
+        dropped = np.zeros(current.triangle_count, dtype=bool)
+        dropped[np.flatnonzero(~kept[labels]) // 3] = True
+        if not dropped.any():
             sub, sub_map = current.largest_component()
             return sub, vmap[sub_map]
-        keep = [t for t in range(current.triangle_count) if t not in drop]
-        if not keep:
+        if dropped.all():
             raise MeshError("pinch removal emptied the mesh")
-        current, step_map = current.submesh(keep)
+        current, step_map = current.submesh(np.flatnonzero(~dropped))
         vmap = vmap[step_map]
     raise MeshError("pinch removal did not converge")

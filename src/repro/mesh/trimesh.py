@@ -132,25 +132,17 @@ class TriMesh:
         this directly so assembling a Laplacian never loops over
         vertices in Python.
         """
-        n = self.vertex_count
-        e = self.edges
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        if len(e) == 0:
-            return indptr, np.zeros(0, dtype=np.int64)
-        src = np.concatenate([e[:, 0], e[:, 1]])
-        dst = np.concatenate([e[:, 1], e[:, 0]])
-        order = np.lexsort((dst, src))
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return indptr, dst[order]
+        # Imported here: repro.network imports repro.mesh.
+        from repro.network.graphs import csr_from_edges
+
+        return csr_from_edges(self.vertex_count, self.edges)
 
     @cached_property
     def adjacency(self) -> list[list[int]]:
         """Per-vertex sorted list of neighbouring vertex indices."""
-        indptr, indices = self.adjacency_csr
-        return [
-            indices[indptr[v]:indptr[v + 1]].tolist()
-            for v in range(self.vertex_count)
-        ]
+        from repro.network.graphs import adjacency_from_edges
+
+        return adjacency_from_edges(self.vertex_count, self.edges)
 
     def neighbors(self, v: int) -> list[int]:
         """Neighbouring vertex indices of vertex ``v``."""
@@ -275,21 +267,9 @@ class TriMesh:
 
     def is_connected(self) -> bool:
         """Whether the vertex-edge graph is a single component."""
-        if self.vertex_count == 0:
-            return True
-        seen = np.zeros(self.vertex_count, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        count = 1
-        adj = self.adjacency
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.vertex_count
+        from repro.network.graphs import component_labels
+
+        return not component_labels(self.vertex_count, self.edges).any()
 
     # ------------------------------------------------------------------
     # Derived meshes
@@ -323,29 +303,17 @@ class TriMesh:
         return TriMesh(self.vertices[used], remap[tris]), used
 
     def largest_component(self) -> tuple["TriMesh", np.ndarray]:
-        """The edge-connected triangle component with the most triangles."""
+        """The edge-connected triangle component with the most triangles.
+
+        Ties keep the component holding the lowest triangle index.
+        """
+        from repro.network.graphs import component_labels
+
         if self.triangle_count == 0:
             raise MeshError("largest_component of an empty mesh")
-        parent = list(range(self.triangle_count))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for ts in self.edge_triangles.values():
-            for other in ts[1:]:
-                ra, rb = find(ts[0]), find(other)
-                if ra != rb:
-                    parent[rb] = ra
-        roots = [find(i) for i in range(self.triangle_count)]
-        counts: dict[int, int] = {}
-        for r in roots:
-            counts[r] = counts.get(r, 0) + 1
-        best_root = max(counts, key=lambda r: counts[r])
-        keep = [i for i, r in enumerate(roots) if r == best_root]
-        return self.submesh(keep)
+        pairs = [(ts[0], t) for ts in self.edge_triangles.values() for t in ts[1:]]
+        labels = component_labels(self.triangle_count, pairs)
+        return self.submesh(np.flatnonzero(labels == np.bincount(labels).argmax()))
 
     def edge_lengths(self) -> np.ndarray:
         """Length of every edge, aligned with :attr:`edges`."""

@@ -5,22 +5,16 @@ from repro.network.extract import (
     extract_triangulation,
     extract_triangulation_localized,
 )
-from repro.network.graphs import (
-    UnionFind,
-    adjacency_from_edges,
-    bfs_hops,
-    connected_components,
-)
+from repro.network.graphs import adjacency_from_edges, bfs_hops, component_labels
 from repro.network.links import LinkTable, links_alive
 from repro.network.udg import UnitDiskGraph, udg_edges
 
 __all__ = [
     "LinkTable",
-    "UnionFind",
     "UnitDiskGraph",
     "adjacency_from_edges",
     "bfs_hops",
-    "connected_components",
+    "component_labels",
     "edge_shared_neighbor_counts",
     "extract_triangulation",
     "extract_triangulation_localized",

@@ -1,73 +1,74 @@
-"""Generic graph utilities: union-find, BFS layers, path existence.
+"""Graph kernel: CSR adjacency, component labels, BFS layers.
 
-Small, dependency-free building blocks used by connectivity repair,
-triangulation extraction, and the distributed protocols' centralized
-reference implementations.
+The one place that builds graph structure or labels connected
+components.  Communication graphs, triangle meshes, connectivity repair
+and the distributed protocols' centralized reference implementations
+all go through :func:`csr_from_edges` and :func:`component_labels`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
-__all__ = ["UnionFind", "bfs_hops", "connected_components", "adjacency_from_edges"]
-
-
-class UnionFind:
-    """Disjoint-set forest with path compression and union by size."""
-
-    def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("UnionFind size must be non-negative")
-        self._parent = list(range(n))
-        self._size = [1] * n
-        self.component_count = n
-
-    def find(self, x: int) -> int:
-        """Representative of ``x``'s component."""
-        root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the components of ``a`` and ``b``; True if they differed."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        self.component_count -= 1
-        return True
-
-    def connected(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
-
-    def component_sizes(self) -> list[int]:
-        """Sizes of all components, largest first."""
-        roots: dict[int, int] = {}
-        for x in range(len(self._parent)):
-            r = self.find(x)
-            roots[r] = roots.get(r, 0) + 1
-        return sorted(roots.values(), reverse=True)
+__all__ = [
+    "adjacency_from_edges",
+    "bfs_hops",
+    "component_labels",
+    "components_largest_first",
+    "csr_from_edges",
+]
 
 
-def adjacency_from_edges(n: int, edges: Iterable[Sequence[int]]) -> list[list[int]]:
+def csr_from_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected adjacency of ``n`` nodes in CSR form: ``(indptr, indices)``.
+
+    ``indices[indptr[v]:indptr[v + 1]]`` are node ``v``'s neighbours in
+    ascending order.  Self-loops and repeated edges are dropped.  Each
+    directed link is one ``src * n + dst`` key, so a single sort orders
+    and deduplicates them - no per-edge Python loop.
+    """
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    e = e[e[:, 0] != e[:, 1]]
+    keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, keys % n
+
+
+def adjacency_from_edges(n: int, edges) -> list[list[int]]:
     """Sorted neighbour lists for an undirected edge list over ``n`` nodes."""
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            continue
-        adj[u].add(v)
-        adj[v].add(u)
-    return [sorted(s) for s in adj]
+    indptr, indices = csr_from_edges(n, edges)
+    return [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(n)]
+
+
+def component_labels(n: int, edges) -> np.ndarray:
+    """Connected-component label of each of ``n`` nodes.
+
+    Components are numbered ``0, 1, ...`` in the order of their lowest
+    node, so node 0 is always in component 0.  Each edge may be listed
+    in one or both directions.
+    """
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
+    return connected_components(graph, directed=False)[1]
+
+
+def components_largest_first(labels: np.ndarray) -> list[list[int]]:
+    """Node lists per component: largest first, ties by lowest node.
+
+    Members are ascending.  ``labels`` must number components by their
+    lowest node, as :func:`component_labels` does.
+    """
+    labels = np.asarray(labels)
+    sizes = np.bincount(labels)
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(sizes)[:-1])
+    return [members[k].tolist() for k in np.argsort(-sizes, kind="stable")]
 
 
 def bfs_hops(adjacency: Sequence[Sequence[int]], sources: Iterable[int]) -> np.ndarray:
@@ -91,26 +92,3 @@ def bfs_hops(adjacency: Sequence[Sequence[int]], sources: Iterable[int]) -> np.n
                 dist[w] = dist[v] + 1
                 dq.append(w)
     return dist
-
-
-def connected_components(adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Connected components as sorted node lists, largest first."""
-    n = len(adjacency)
-    seen = [False] * n
-    comps: list[list[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = [start]
-        while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    comps.sort(key=len, reverse=True)
-    return comps

@@ -22,6 +22,11 @@ import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.vec import as_points, expand_ragged, pairwise_distances
+from repro.network.graphs import (
+    adjacency_from_edges,
+    component_labels,
+    components_largest_first,
+)
 
 __all__ = ["UnitDiskGraph", "udg_edges"]
 
@@ -195,79 +200,34 @@ class UnitDiskGraph:
         return frozenset((int(i), int(j)) for i, j in self.edges)
 
     @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Neighbour lists in CSR form: ``(indptr, indices)``.
-
-        ``indices[indptr[v]:indptr[v + 1]]`` are node ``v``'s neighbours
-        in ascending order.  Built from the doubled edge array with one
-        lexsort - no per-edge Python loop.
-        """
-        n = self.node_count
-        e = self.edges
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        if len(e) == 0:
-            return indptr, np.zeros(0, dtype=np.int64)
-        src = np.concatenate([e[:, 0], e[:, 1]])
-        dst = np.concatenate([e[:, 1], e[:, 0]])
-        order = np.lexsort((dst, src))
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return indptr, dst[order]
-
-    @cached_property
     def adjacency(self) -> list[list[int]]:
         """Per-node sorted neighbour lists."""
-        indptr, indices = self._csr
-        return [
-            indices[indptr[v]:indptr[v + 1]].tolist()
-            for v in range(self.node_count)
-        ]
+        return adjacency_from_edges(self.node_count, self.edges)
 
     def neighbors(self, i: int) -> list[int]:
         """Nodes within communication range of node ``i``."""
         return self.adjacency[i]
 
     def degree(self, i: int) -> int:
-        indptr, _ = self._csr
-        return int(indptr[i + 1] - indptr[i])
+        return len(self.adjacency[i])
 
     def has_edge(self, i: int, j: int) -> bool:
         a, b = (i, j) if i < j else (j, i)
         return (a, b) in self.edge_set
 
-    def _frontier_neighbors(self, frontier: np.ndarray) -> np.ndarray:
-        """Unique neighbours of all ``frontier`` nodes (one numpy pass)."""
-        indptr, indices = self._csr
-        counts = indptr[frontier + 1] - indptr[frontier]
-        flat = indices[expand_ragged(indptr[frontier], counts)]
-        return np.unique(flat)
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        """Component label per node, numbered by each component's lowest node."""
+        return component_labels(self.node_count, self.edges)
 
     @cached_property
     def components(self) -> list[list[int]]:
         """Connected components as sorted node lists, largest first."""
-        n = self.node_count
-        seen = np.zeros(n, dtype=bool)
-        comps: list[list[int]] = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            frontier = np.array([start], dtype=np.int64)
-            members = [frontier]
-            while frontier.size:
-                neigh = self._frontier_neighbors(frontier)
-                new = neigh[~seen[neigh]]
-                if new.size == 0:
-                    break
-                seen[new] = True
-                members.append(new)
-                frontier = new
-            comps.append(np.sort(np.concatenate(members)).tolist())
-        comps.sort(key=len, reverse=True)
-        return comps
+        return components_largest_first(self._labels)
 
     def is_connected(self) -> bool:
         """Whether all nodes form a single component."""
-        return self.node_count <= 1 or len(self.components) == 1
+        return not self._labels.any()
 
     def nodes_connected_to(self, anchors) -> np.ndarray:
         """Boolean mask of nodes with a path to any node in ``anchors``.
@@ -276,17 +236,8 @@ class UnitDiskGraph:
         counts as globally connected when a multi-hop path to the
         network boundary (the anchor set) exists.
         """
-        mask = np.zeros(self.node_count, dtype=bool)
-        for a in (int(a) for a in anchors):
-            if not 0 <= a < self.node_count:
-                raise GeometryError(f"anchor {a} out of range")
-            mask[a] = True
-        frontier = np.flatnonzero(mask).astype(np.int64)
-        while frontier.size:
-            neigh = self._frontier_neighbors(frontier)
-            new = neigh[~mask[neigh]]
-            if new.size == 0:
-                break
-            mask[new] = True
-            frontier = new
-        return mask
+        anchors = np.fromiter((int(a) for a in anchors), dtype=np.int64)
+        bad = anchors[(anchors < 0) | (anchors >= self.node_count)]
+        if bad.size:
+            raise GeometryError(f"anchor {int(bad[0])} out of range")
+        return np.isin(self._labels, self._labels[anchors])

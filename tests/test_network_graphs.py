@@ -1,73 +1,78 @@
-"""Tests for union-find and BFS utilities (with networkx as oracle)."""
+"""Tests for the graph kernel: CSR adjacency, component labels, BFS.
+
+networkx is the oracle; a source scan keeps the kernel the only code
+that labels components or builds CSR adjacency.
+"""
+
+import re
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.mesh import TriMesh, vertex_fans
 from repro.network import (
-    UnionFind,
+    UnitDiskGraph,
     adjacency_from_edges,
     bfs_hops,
-    connected_components,
+    component_labels,
 )
+from repro.network.graphs import components_largest_first
+
+REPRO_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 edge_list = st.lists(
     st.tuples(st.integers(0, 14), st.integers(0, 14)), max_size=40
 )
 
 
-class TestUnionFind:
+def nx_graph(n, edges):
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from((u, v) for u, v in edges if u != v)
+    return g
+
+
+class TestComponentLabels:
     def test_initial_singletons(self):
-        uf = UnionFind(5)
-        assert uf.component_count == 5
-        assert not uf.connected(0, 1)
+        assert component_labels(5, []).tolist() == [0, 1, 2, 3, 4]
 
     def test_union_connects(self):
-        uf = UnionFind(5)
-        assert uf.union(0, 1)
-        assert uf.connected(0, 1)
-        assert uf.component_count == 4
+        labels = component_labels(5, [(0, 1)])
+        assert labels[0] == labels[1]
+        assert labels.max() + 1 == 4
 
     def test_union_idempotent(self):
-        uf = UnionFind(5)
-        uf.union(0, 1)
-        assert not uf.union(1, 0)
-        assert uf.component_count == 4
+        once = component_labels(5, [(0, 1)])
+        assert component_labels(5, [(0, 1), (1, 0), (0, 1)]).tolist() == once.tolist()
 
     def test_transitivity(self):
-        uf = UnionFind(5)
-        uf.union(0, 1)
-        uf.union(1, 2)
-        assert uf.connected(0, 2)
+        labels = component_labels(5, [(0, 1), (1, 2)])
+        assert labels[0] == labels[2]
 
     def test_component_sizes(self):
-        uf = UnionFind(6)
-        uf.union(0, 1)
-        uf.union(2, 3)
-        uf.union(3, 4)
-        assert uf.component_sizes() == [3, 2, 1]
+        labels = component_labels(6, [(0, 1), (2, 3), (3, 4)])
+        assert sorted(np.bincount(labels).tolist(), reverse=True) == [3, 2, 1]
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
-            UnionFind(-1)
+            component_labels(-1, [])
 
     @given(edge_list)
     @settings(max_examples=100)
     def test_matches_networkx_components(self, edges):
         n = 15
-        uf = UnionFind(n)
-        g = nx.Graph()
-        g.add_nodes_from(range(n))
-        for u, v in edges:
-            if u != v:
-                uf.union(u, v)
-                g.add_edge(u, v)
-        assert uf.component_count == nx.number_connected_components(g)
-        for u, v in [(0, 1), (3, 9), (14, 2)]:
-            assert uf.connected(u, v) == (
-                nx.has_path(g, u, v)
-            )
+        labels = component_labels(n, edges)
+        g = nx_graph(n, edges)
+        assert labels.max() + 1 == nx.number_connected_components(g)
+        for u in range(n):
+            for v in range(n):
+                assert (labels[u] == labels[v]) == nx.has_path(g, u, v)
+        # Components are numbered in the order of their lowest node.
+        lowest = [int(np.flatnonzero(labels == k)[0]) for k in range(labels.max() + 1)]
+        assert lowest == sorted(lowest)
 
 
 class TestAdjacencyAndBfs:
@@ -100,17 +105,80 @@ class TestAdjacencyAndBfs:
         n = 15
         adj = adjacency_from_edges(n, edges)
         hops = bfs_hops(adj, [source])
-        g = nx.Graph()
-        g.add_nodes_from(range(n))
-        g.add_edges_from((u, v) for u, v in edges if u != v)
-        lengths = nx.single_source_shortest_path_length(g, source)
+        lengths = nx.single_source_shortest_path_length(nx_graph(n, edges), source)
         for v in range(n):
             expected = lengths.get(v, -1)
             assert hops[v] == expected
 
     def test_connected_components_order(self):
-        adj = adjacency_from_edges(6, [(0, 1), (1, 2), (3, 4)])
-        comps = connected_components(adj)
-        assert comps[0] == [0, 1, 2]
-        assert comps[1] == [3, 4]
-        assert comps[2] == [5]
+        labels = component_labels(6, [(0, 1), (1, 2), (3, 4)])
+        comps = components_largest_first(labels)
+        assert comps == [[0, 1, 2], [3, 4], [5]]
+
+
+class TestKernelCallers:
+    @given(
+        st.lists(
+            st.tuples(st.floats(0, 10), st.floats(0, 10)), min_size=1, max_size=25
+        ),
+        st.floats(0.5, 4.0),
+        st.lists(st.integers(0, 24), max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_udg_components_match_networkx(self, pts, rc, anchors):
+        g = UnitDiskGraph(pts, rc)
+        n = len(pts)
+        oracle = nx_graph(
+            n,
+            [
+                (i, j)
+                for i in range(n)
+                for j in range(i + 1, n)
+                if np.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1]) <= rc
+            ],
+        )
+        expected = sorted(
+            (sorted(c) for c in nx.connected_components(oracle)),
+            key=lambda c: (-len(c), c[0]),
+        )
+        assert g.components == expected
+        assert g.is_connected() == nx.is_connected(oracle)
+        anchors = [a % n for a in anchors]
+        reached = set(anchors).union(*(nx.node_connected_component(oracle, a) for a in anchors))
+        assert np.flatnonzero(g.nodes_connected_to(anchors)).tolist() == sorted(reached)
+
+    def test_largest_component_tie_keeps_triangle_zero(self):
+        # Two equal two-triangle squares; triangle 0 lies in the square on
+        # the higher-numbered vertices.
+        verts = [(0, 0), (1, 0), (1, 1), (0, 1), (5, 0), (6, 0), (6, 1), (5, 1)]
+        tris = [(4, 5, 6), (0, 1, 2), (0, 2, 3), (4, 6, 7)]
+        big, vmap = TriMesh(verts, tris).largest_component()
+        assert big.triangle_count == 2
+        assert vmap.tolist() == [4, 5, 6, 7]
+
+    def test_vertex_fans_order(self):
+        # Vertex 0 carries three fans: {0}, {1, 3} and {2}.  The largest
+        # comes first, equal sizes keep the lowest triangle first, and
+        # each fan lists its triangles in ascending order.
+        angles = np.radians([0, 30, 90, 120, 150, 220, 250])
+        verts = [(0.0, 0.0)] + [(np.cos(a), np.sin(a)) for a in angles]
+        tris = [(0, 1, 2), (0, 3, 4), (0, 6, 7), (0, 4, 5)]
+        assert vertex_fans(TriMesh(verts, tris), 0) == [[1, 3], [0], [2]]
+
+
+def test_one_component_kernel():
+    """Only ``network/graphs.py`` labels components or builds CSR adjacency."""
+    forbidden = [r"def find\(", r"parent\[", r"stack\.pop\(\)", r"_frontier_neighbors"]
+    kernel_only = [r"connected_components\(", r"np\.cumsum\(np\.bincount\("]
+    sources = {
+        str(path.relative_to(REPRO_SRC)): path.read_text()
+        for path in REPRO_SRC.rglob("*.py")
+    }
+    found = {
+        pattern: sorted(name for name, text in sources.items() if re.search(pattern, text))
+        for pattern in forbidden + kernel_only
+    }
+    assert found == {
+        **{pattern: [] for pattern in forbidden},
+        **{pattern: ["network/graphs.py"] for pattern in kernel_only},
+    }
