@@ -20,8 +20,9 @@ import numpy as np
 from repro.errors import CoverageError
 from repro.coverage.density import DensityFunction, uniform_density, validate_density
 from repro.foi.region import FieldOfInterest
-from repro.geometry.vec import as_points
+from repro.geometry.vec import as_points, nearest_index
 from repro.network.udg import UnitDiskGraph
+from repro.obs import span
 
 __all__ = ["LloydResult", "LloydConfig", "lloyd_iteration", "run_lloyd"]
 
@@ -87,9 +88,7 @@ def _assign_centroids(
     e.g. robots still outside the FoI) get the nearest grid point as
     centroid, pulling them into the region.
     """
-    diff = grid[:, None, :] - sites[None, :, :]
-    d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
-    owner = np.argmin(d2, axis=1)
+    owner = nearest_index(grid, sites)
     n = len(sites)
     w_sum = np.bincount(owner, weights=weights, minlength=n)
     cx = np.bincount(owner, weights=weights * grid[:, 0], minlength=n)
@@ -98,10 +97,14 @@ def _assign_centroids(
     nonempty = w_sum > 0
     centroids[nonempty, 0] = cx[nonempty] / w_sum[nonempty]
     centroids[nonempty, 1] = cy[nonempty] / w_sum[nonempty]
-    for i in np.flatnonzero(~nonempty):
-        dg = grid - sites[i]
-        centroids[i] = grid[int(np.argmin(dg[:, 0] ** 2 + dg[:, 1] ** 2))]
+    _snap_to_grid(centroids, ~nonempty, grid)
     return centroids
+
+
+def _snap_to_grid(points: np.ndarray, rows: np.ndarray, grid: np.ndarray) -> None:
+    """Replace ``points[rows]`` (a boolean mask) by their nearest grid points."""
+    if rows.any():
+        points[rows] = grid[nearest_index(points[rows], grid)]
 
 
 def lloyd_iteration(
@@ -115,10 +118,7 @@ def lloyd_iteration(
     # Hole rule: a centroid inside a hole (or outside the outer
     # boundary, possible for weighted regions hugging a concavity)
     # falls back to the nearest grid point.
-    ok = foi.contains(centroids)
-    for i in np.flatnonzero(~ok):
-        dg = grid - centroids[i]
-        centroids[i] = grid[int(np.argmin(dg[:, 0] ** 2 + dg[:, 1] ** 2))]
+    _snap_to_grid(centroids, ~foi.contains(centroids), grid)
     return centroids
 
 
@@ -167,12 +167,15 @@ def run_lloyd(
     total_movement = 0.0
     converged = False
     iterations = 0
+    graph = None
     for iterations in range(1, cfg.max_iterations + 1):
-        targets = lloyd_iteration(sites, foi, grid, weights)
+        with span("adjust.assign"):
+            targets = lloyd_iteration(sites, foi, grid, weights)
         if cfg.connectivity_safe:
-            new_sites = _connectivity_safe_step(
-                sites, targets, float(comm_range), cfg.max_halvings
-            )
+            with span("adjust.safe_step"):
+                new_sites, graph = _connectivity_safe_step(
+                    sites, targets, float(comm_range), cfg.max_halvings, graph
+                )
         else:
             new_sites = targets
         step = np.hypot(*(new_sites - sites).T)
@@ -192,8 +195,12 @@ def run_lloyd(
 
 
 def _connectivity_safe_step(
-    sites: np.ndarray, targets: np.ndarray, comm_range: float, max_halvings: int
-) -> np.ndarray:
+    sites: np.ndarray,
+    targets: np.ndarray,
+    comm_range: float,
+    max_halvings: int,
+    graph: UnitDiskGraph | None = None,
+) -> tuple[np.ndarray, UnitDiskGraph | None]:
     """Move toward targets, halving *individual* steps that break links.
 
     Implements Sec. III-D1: "a mobile robot collects the computed
@@ -210,33 +217,39 @@ def _connectivity_safe_step(
     rule (two subgroups could drift apart with all local links intact);
     if it trips, the entire step is uniformly halved, and in the worst
     case the swarm holds position for this iteration.
+
+    ``graph``, when given, must be the unit-disk graph of ``sites``.
+    Returns the new positions and, when the global check built it for
+    exactly those positions, their graph for the next call to reuse.
     """
-    graph = UnitDiskGraph(sites, comm_range)
+    if graph is None:
+        graph = UnitDiskGraph(sites, comm_range)
     was_connected = graph.is_connected()
     n = len(sites)
+    indptr, nbr = graph.csr
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    has_nbrs = indptr[1:] > indptr[:-1]
     alphas = np.ones(n)
     moves = targets - sites
     for _ in range(max_halvings + 1):
         proposal = sites + alphas[:, None] * moves
-        unsafe = []
-        for i in range(n):
-            nbrs = graph.neighbors(i)
-            if not nbrs:
-                continue
-            d = np.hypot(*(proposal[nbrs] - proposal[i]).T)
-            if not (d <= comm_range).any():
-                unsafe.append(i)
-        if not unsafe:
+        d = np.hypot(*(proposal[nbr] - proposal[src]).T)
+        # Unsafe: has neighbours now, and none of them stays in range.
+        unsafe = has_nbrs & (np.bincount(src[d <= comm_range], minlength=n) == 0)
+        if not unsafe.any():
             break
         alphas[unsafe] /= 2.0
     proposal = sites + alphas[:, None] * moves
-    if not was_connected or UnitDiskGraph(proposal, comm_range).is_connected():
-        return proposal
+    if not was_connected:
+        return proposal, None
+    after = UnitDiskGraph(proposal, comm_range)
+    if after.is_connected():
+        return proposal, after
     # Global backstop: uniformly shrink the (locally safe) step.
     scale = 1.0
     for _ in range(max_halvings + 1):
         scale /= 2.0
         trial = sites + scale * alphas[:, None] * moves
         if UnitDiskGraph(trial, comm_range).is_connected():
-            return trial
-    return sites.copy()
+            return trial, None
+    return sites.copy(), None

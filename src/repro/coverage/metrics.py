@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.errors import CoverageError
 from repro.foi.region import FieldOfInterest
-from repro.geometry.vec import as_points
+from repro.geometry.vec import as_points, nearest_index
 
 __all__ = [
     "coverage_fraction",
@@ -54,9 +54,7 @@ def coverage_fraction(
     grid = foi.grid_points(spacing)
     if len(grid) == 0:
         raise CoverageError("FoI grid came out empty; lower grid_target")
-    diff = grid[:, None, :] - pts[None, :, :]
-    d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
-    covered = d2.min(axis=1) <= sensing_range * sensing_range
+    covered = _nearest_d2(grid, pts) <= sensing_range * sensing_range
     return float(covered.mean())
 
 
@@ -65,9 +63,13 @@ def nearest_robot_distances(foi: FieldOfInterest, positions, grid_target: int = 
     pts = as_points(positions)
     spacing = float(np.sqrt(foi.area / grid_target))
     grid = foi.grid_points(spacing)
-    diff = grid[:, None, :] - pts[None, :, :]
-    d2 = diff[..., 0] ** 2 + diff[..., 1] ** 2
-    return np.sqrt(d2.min(axis=1))
+    return np.sqrt(_nearest_d2(grid, pts))
+
+
+def _nearest_d2(grid: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Squared distance from each grid point to its nearest robot."""
+    diff = grid - pts[nearest_index(grid, pts)]
+    return diff[:, 0] ** 2 + diff[:, 1] ** 2
 
 
 def density_concentration(

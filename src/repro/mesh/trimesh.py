@@ -140,9 +140,9 @@ class TriMesh:
     @cached_property
     def adjacency(self) -> list[list[int]]:
         """Per-vertex sorted list of neighbouring vertex indices."""
-        from repro.network.graphs import adjacency_from_edges
+        from repro.network.graphs import adjacency_from_csr
 
-        return adjacency_from_edges(self.vertex_count, self.edges)
+        return adjacency_from_csr(*self.adjacency_csr)
 
     def neighbors(self, v: int) -> list[int]:
         """Neighbouring vertex indices of vertex ``v``."""

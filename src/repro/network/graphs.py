@@ -16,6 +16,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 __all__ = [
+    "adjacency_from_csr",
     "adjacency_from_edges",
     "bfs_hops",
     "component_labels",
@@ -41,10 +42,14 @@ def csr_from_edges(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
     return indptr, keys % n
 
 
+def adjacency_from_csr(indptr: np.ndarray, indices: np.ndarray) -> list[list[int]]:
+    """Per-node neighbour lists of a :func:`csr_from_edges` adjacency."""
+    return [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(len(indptr) - 1)]
+
+
 def adjacency_from_edges(n: int, edges) -> list[list[int]]:
     """Sorted neighbour lists for an undirected edge list over ``n`` nodes."""
-    indptr, indices = csr_from_edges(n, edges)
-    return [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(n)]
+    return adjacency_from_csr(*csr_from_edges(n, edges))
 
 
 def component_labels(n: int, edges) -> np.ndarray:

@@ -23,9 +23,10 @@ import numpy as np
 from repro.errors import GeometryError
 from repro.geometry.vec import as_points, expand_ragged, pairwise_distances
 from repro.network.graphs import (
-    adjacency_from_edges,
+    adjacency_from_csr,
     component_labels,
     components_largest_first,
+    csr_from_edges,
 )
 
 __all__ = ["UnitDiskGraph", "udg_edges"]
@@ -200,9 +201,14 @@ class UnitDiskGraph:
         return frozenset((int(i), int(j)) for i, j in self.edges)
 
     @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency in CSR form ``(indptr, indices)``, neighbours ascending."""
+        return csr_from_edges(self.node_count, self.edges)
+
+    @cached_property
     def adjacency(self) -> list[list[int]]:
         """Per-node sorted neighbour lists."""
-        return adjacency_from_edges(self.node_count, self.edges)
+        return adjacency_from_csr(*self.csr)
 
     def neighbors(self, i: int) -> list[int]:
         """Nodes within communication range of node ``i``."""

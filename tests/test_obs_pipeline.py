@@ -70,6 +70,19 @@ class TestPlannerSpans:
         assert by_id[search.parent_id].name == "plan.rotation_search"
         assert search.attributes["evaluations"] == 4 + 2 * 4 + 1
 
+    def test_adjust_child_spans_nest_under_adjust(self, small_setup):
+        swarm, m2 = small_setup
+        tracer = Tracer()
+        with activate(tracer):
+            result = MarchingPlanner(FAST).plan(swarm, m2)
+        records = tracer.get_trace()
+        by_id = {r.span_id: r for r in records}
+        for name in ("adjust.assign", "adjust.safe_step"):
+            children = [r for r in records if r.name == name]
+            # One of each per Lloyd iteration.
+            assert len(children) == result.lloyd_iterations
+            assert {by_id[r.parent_id].name for r in children} == {"plan.adjust"}
+
     def test_rotation_attributes_and_metrics(self, small_setup):
         swarm, m2 = small_setup
         metrics = Metrics()

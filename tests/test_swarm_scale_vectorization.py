@@ -2,17 +2,32 @@
 
 Every vectorised fast path introduced for large swarms - the
 spatial-hash unit-disk graph, CSR adjacency, factorization-reusing
-harmonic solves, batch point location, batch induced-map transfer and
-vectorised trajectory sampling - must produce *bitwise-identical*
+harmonic solves, batch point location, batch induced-map transfer,
+vectorised trajectory sampling, the KD-tree nearest-site assignment and
+the CSR connectivity-safe Lloyd step - must produce *bitwise-identical*
 results to the scalar/brute-force oracles it replaced; these tests pin
 that contract.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import PlanningError
+import repro.coverage.lloyd as lloyd_module
+from repro.coverage import (
+    LloydConfig,
+    coverage_fraction,
+    hole_proximity_density,
+    nearest_robot_distances,
+    run_lloyd,
+)
+from repro.coverage.lloyd import _connectivity_safe_step
+from repro.errors import GeometryError, PlanningError
 from repro.experiments.scaling import (
     format_scaling_table,
     scaling_curve,
@@ -21,6 +36,7 @@ from repro.experiments.scaling import (
 )
 from repro.geometry import TriangleLocator, barycentric_coords_paired
 from repro.geometry.barycentric import barycentric_coords_many
+from repro.geometry.vec import _nearest_index_dense, as_points, nearest_index
 from repro.harmonic import (
     clear_factorization_cache,
     compute_disk_map,
@@ -33,6 +49,8 @@ from repro.network import UnitDiskGraph, udg_edges
 from repro.network.udg import _udg_edges_bruteforce
 from repro.obs import Metrics, activate_metrics
 from repro.robots.motion import SwarmTrajectory, TimedPath
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 positions_strategy = st.lists(
     st.tuples(
@@ -374,3 +392,242 @@ class TestScalingCurve:
         assert "## Scaling curves" in text
         assert "| network.udg_edges |" in text
         assert "n=80" in text
+
+
+# Coordinates that produce exact ties (small integers and halves), wide
+# spreads and near-coincident points.
+_coord = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.integers(-8, 8).map(lambda k: k / 2.0),
+    st.floats(-1e9, 1e9, allow_nan=False, width=32),
+    st.floats(-1e-6, 1e-6, allow_nan=False),
+)
+
+
+@st.composite
+def _nearest_inputs(draw):
+    sites = draw(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=40))
+    points = draw(st.lists(st.tuples(_coord, _coord), max_size=60))
+    # Duplicate sites, and points exactly on sites.
+    dup = draw(st.lists(st.integers(0, len(sites) - 1), max_size=5))
+    on = draw(st.lists(st.integers(0, len(sites) - 1), max_size=10))
+    sites = sites + [sites[i] for i in dup]
+    points = points + [sites[i] for i in on]
+    return as_points(points), as_points(sites)
+
+
+class TestNearestIndex:
+    @given(inputs=_nearest_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_oracle(self, inputs):
+        points, sites = inputs
+        assert np.array_equal(
+            nearest_index(points, sites), _nearest_index_dense(points, sites)
+        )
+
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 300))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_oracle_random(self, seed, n):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** float(rng.integers(-4, 7))
+        sites = rng.uniform(-scale, scale, size=(n, 2))
+        points = rng.uniform(-2 * scale, 2 * scale, size=(500, 2))
+        assert np.array_equal(
+            nearest_index(points, sites), _nearest_index_dense(points, sites)
+        )
+
+    def test_lattice_ties_pick_lowest_index(self):
+        # Half-integer points are equidistant from 2 or 4 integer sites;
+        # the shuffled site order makes "lowest index" non-trivial.
+        g = np.arange(-5.0, 6.0)
+        sites = np.array([(x, y) for x in g for y in g])
+        sites = sites[np.random.default_rng(1).permutation(len(sites))]
+        h = np.arange(-5.5, 6.0, 0.5)
+        points = np.array([(x, y) for x in h for y in h])
+        fast = nearest_index(points, sites)
+        assert np.array_equal(fast, _nearest_index_dense(points, sites))
+
+    def test_coincident_sites_and_single_site(self):
+        points = np.array([[0.0, 0.0], [1.0, 1.0], [3.0, -2.0]])
+        assert nearest_index(points, np.ones((5, 2))).tolist() == [0, 0, 0]
+        assert nearest_index(points, np.array([[7.0, 7.0]])).tolist() == [0, 0, 0]
+
+    def test_symmetric_in_roles(self):
+        # Lloyd's fallbacks query robots against the grid: the oracle's
+        # (g - s)**2 equals the kernel's (s - g)**2 bitwise.
+        rng = np.random.default_rng(4)
+        grid = rng.uniform(0, 10, size=(400, 2))
+        robots = rng.uniform(-5, 15, size=(30, 2))
+        for i, r in enumerate(robots):
+            dg = grid - r
+            want = int(np.argmin(dg[:, 0] ** 2 + dg[:, 1] ** 2))
+            assert nearest_index(robots, grid)[i] == want
+
+    def test_coverage_metrics_match_dense_min(self, holed_foi):
+        robots = holed_foi.sample_free_points(50, np.random.default_rng(2))
+        grid = holed_foi.grid_points(float(np.sqrt(holed_foi.area / 4000)))
+        diff = grid[:, None, :] - robots[None, :, :]
+        d2 = (diff[..., 0] ** 2 + diff[..., 1] ** 2).min(axis=1)
+        assert np.array_equal(nearest_robot_distances(holed_foi, robots), np.sqrt(d2))
+        assert coverage_fraction(holed_foi, robots, 9.0) == float((d2 <= 81.0).mean())
+
+    def test_empty(self):
+        assert nearest_index(np.zeros((0, 2)), np.ones((3, 2))).shape == (0,)
+        with pytest.raises(GeometryError):
+            nearest_index(np.ones((3, 2)), np.zeros((0, 2)))
+
+
+def _safe_step_loop(sites, targets, comm_range, max_halvings):
+    """The per-robot connectivity-safe step the CSR reduction replaced (oracle)."""
+    graph = UnitDiskGraph(sites, comm_range)
+    was_connected = graph.is_connected()
+    n = len(sites)
+    alphas = np.ones(n)
+    moves = targets - sites
+    for _ in range(max_halvings + 1):
+        proposal = sites + alphas[:, None] * moves
+        unsafe = []
+        for i in range(n):
+            nbrs = graph.neighbors(i)
+            if not nbrs:
+                continue
+            d = np.hypot(*(proposal[nbrs] - proposal[i]).T)
+            if not (d <= comm_range).any():
+                unsafe.append(i)
+        if not unsafe:
+            break
+        alphas[unsafe] /= 2.0
+    proposal = sites + alphas[:, None] * moves
+    if not was_connected or UnitDiskGraph(proposal, comm_range).is_connected():
+        return proposal
+    scale = 1.0
+    for _ in range(max_halvings + 1):
+        scale /= 2.0
+        trial = sites + scale * alphas[:, None] * moves
+        if UnitDiskGraph(trial, comm_range).is_connected():
+            return trial
+    return sites.copy()
+
+
+class TestVectorizedSafeStep:
+    @staticmethod
+    def _check(sites, targets, r, halvings=6):
+        fast, graph = _connectivity_safe_step(sites, targets, r, halvings)
+        assert np.array_equal(fast, _safe_step_loop(sites, targets, r, halvings))
+        if graph is not None:
+            assert graph.positions is fast
+            assert np.array_equal(graph.edges, UnitDiskGraph(fast, r).edges)
+        # A graph handed back in gives the same step.
+        again, _ = _connectivity_safe_step(
+            sites, targets, r, halvings, UnitDiskGraph(sites, r)
+        )
+        assert np.array_equal(again, fast)
+        return fast, graph
+
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 80),
+           reach=st.floats(0.1, 5.0), halvings=st.integers(0, 7))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_loop_oracle(self, seed, n, reach, halvings):
+        rng = np.random.default_rng(seed)
+        sites = rng.uniform(0, 10, size=(n, 2))
+        # A few far-off robots are isolated from the start.
+        sites[: n // 10] += 1e3
+        targets = sites + rng.normal(0.0, reach, size=(n, 2))
+        self._check(sites, targets, 1.5, halvings)
+
+    def test_cornered_pair_needs_every_halving(self):
+        # Two linked robots whose targets fly apart: no halving keeps
+        # the link, so both end at the last step factor 2**-7.
+        sites = np.array([[0.0, 0.0], [0.9, 0.0], [50.0, 50.0]])
+        targets = np.array([[-200.0, 0.0], [200.9, 0.0], [50.0, 51.0]])
+        fast, graph = self._check(sites, targets, 1.0)
+        assert fast[0, 0] == -200.0 / 2**7
+        assert graph is None  # disconnected start: no global check ran
+
+    def test_backstop_and_reuse(self):
+        # Two clusters joined by one bridge link: every robot keeps a
+        # neighbour, but the bridge breaks, so the backstop trips.
+        left = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
+        sites = np.vstack([left, left + [1.4, 0.0]])
+        targets = sites + np.repeat([[-3.0, 0.0], [3.0, 0.0]], 3, axis=0)
+        fast, graph = self._check(sites, targets, 1.0)
+        assert graph is None
+        assert UnitDiskGraph(fast, 1.0).is_connected()
+        # A gentle step keeps the network and hands its graph on.
+        _, graph = self._check(sites, sites + 0.01, 1.0)
+        assert graph is not None
+
+
+class TestLloydBitwise:
+    def test_run_lloyd_matches_dense_oracle_run(self, holed_foi, monkeypatch):
+        rng = np.random.default_rng(7)
+        ring = np.radians(np.arange(0, 360, 45))
+        start = np.vstack([
+            holed_foi.sample_free_points(30, rng) * 0.5,
+            # A robot at the hole's centre, ringed by eight: its region
+            # wraps the hole, so its centroid falls inside (hole rule).
+            [[50.0, 50.0]],
+            np.column_stack([50 + 28 * np.cos(ring), 50 + 28 * np.sin(ring)]),
+            # Outside the square, the second one behind the first: an
+            # empty region.
+            [[103.0, 20.0], [104.0, 20.0]],
+        ])
+        density = hole_proximity_density(holed_foi, sigma=5.0, peak=20.0)
+        snapped = []
+
+        def spy(points, sites):
+            if len(sites) > len(start):  # robots queried against the grid
+                snapped.append(len(points))
+            return nearest_index(points, sites)
+
+        cfg = LloydConfig(grid_target=1500, max_iterations=25)
+        monkeypatch.setattr(lloyd_module, "nearest_index", spy)
+        fast = run_lloyd(start, holed_foi, 45.0, density, cfg)
+        assert snapped[:2] == [1, 1]  # empty region, then hole rule
+
+        monkeypatch.setattr(
+            lloyd_module, "nearest_index",
+            lambda p, s: _nearest_index_dense(as_points(p), as_points(s)),
+        )
+        monkeypatch.setattr(
+            lloyd_module, "_connectivity_safe_step",
+            lambda s, t, r, h, g: (_safe_step_loop(s, t, r, h), None),
+        )
+        slow = run_lloyd(start, holed_foi, 45.0, density, cfg)
+        assert fast.iterations == slow.iterations
+        assert fast.total_movement == slow.total_movement
+        assert np.array_equal(fast.positions, slow.positions)
+        assert len(fast.snapshots) == len(slow.snapshots)
+        for a, b in zip(fast.snapshots, slow.snapshots):
+            assert np.array_equal(a, b)
+
+
+_LLOYD_10K = """
+import resource
+from repro.coverage.lloyd import LloydConfig, run_lloyd
+from repro.experiments.zoo.families import build_foi
+
+n = 10_000
+unit, _ = build_foi("rough", 0, validate=False)
+foi = unit.scaled_to_area(n * 48.0**2)
+start = foi.grid_points(48.0)[:n]
+assert len(start) == n
+run_lloyd(start, foi, comm_range=80.0, config=LloydConfig(grid_target=30_000))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_10k_robot_lloyd_memory_bounded():
+    # A fresh process, so ru_maxrss is this run's peak alone.  The dense
+    # grid x robots assignment needed ~13 GB per iteration here.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _LLOYD_10K],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode == 0, result.stderr[-2000:]
+    peak_mb = int(result.stdout.split()[-1]) / 1024.0  # ru_maxrss is KiB on Linux
+    assert peak_mb < 500.0
