@@ -11,6 +11,16 @@ predicate whenever the anchors are a non-empty subset of the swarm.
 :func:`~repro.metrics.stable_links.stable_link_report` uses: the
 right-sided ``sample_times`` plus the left-sided limit at every jump in
 ``discontinuity_times``.
+
+Witness law: if every link of one spanning tree of the present robots
+is up under the unit-disk predicate (``hypot <= r``, the test
+:func:`~repro.network.udg.udg_edges` applies to every pair), the graph
+is connected, so no robot is isolated, with anchors or without.  A
+connected instant that is evaluated in full therefore seeds a witness
+(:func:`~repro.network.graphs.spanning_tree` of its links), and the
+instants after it with the same present robots test only those
+``n - 1`` links, a block at a time; the first one where a tree link is
+down, or the present set changes, gets a full graph again.
 """
 
 from __future__ import annotations
@@ -20,13 +30,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GeometryError
+from repro.network.graphs import spanning_tree
+from repro.network.links import links_alive
 from repro.network.udg import UnitDiskGraph
+from repro.obs import span
 from repro.robots.motion import SwarmTrajectory
 
 __all__ = [
     "ConnectivityReport", "connectivity_report", "global_connectivity",
     "isolated_counts",
 ]
+
+# Instants whose witness links are tested in one vectorised call.
+_WITNESS_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -77,6 +93,11 @@ def isolated_counts(
     = never); robot ``j`` is present at ``t`` iff ``t < alive_until[j]``,
     and absent robots neither count nor relay.  Returns a ``(k,)`` int
     array.
+
+    An instant is evaluated in full (one unit-disk graph) unless the
+    spanning-tree witness of the last full evaluation still holds at it:
+    same present robots, every tree link up.  Then it is connected and
+    its count is 0.
     """
     ts = np.asarray(times, dtype=float)
     n = trajectory.robot_count
@@ -91,24 +112,64 @@ def isolated_counts(
         if alive_until.shape != (n,):
             raise GeometryError(f"alive_until must have shape ({n},)")
     counts = np.zeros(len(ts), dtype=int)
-    if len(ts) == 0:
-        return counts
-    table = trajectory.positions_over(ts, side=side)
-    all_anchors = np.flatnonzero(is_anchor).tolist()
-    for k, t in enumerate(ts):
-        snapshot, local = table[k], all_anchors
-        if alive_until is not None:
-            present = t < alive_until
-            if not present.any():
-                continue
-            snapshot = snapshot[present]
-            local = np.flatnonzero(is_anchor[present]).tolist()
-        graph = UnitDiskGraph(snapshot, comm_range)
-        if local:
-            counts[k] = int((~graph.nodes_connected_to(local)).sum())
-        else:
-            counts[k] = graph.node_count - len(graph.components[0])
+    with span("metrics.connectivity", samples=len(ts)) as sp:
+        graphs = certified = 0
+        if len(ts):
+            table = trajectory.positions_over(ts, side=side)
+            # Instants share a present set exactly when they share the
+            # number of crash times at or before them.
+            epoch = (
+                np.zeros(len(ts), dtype=int) if alive_until is None
+                else np.searchsorted(np.sort(alive_until), ts, side="right")
+            )
+            all_anchors = np.flatnonzero(is_anchor).tolist()
+            tree, tree_epoch, k = None, None, 0
+            while k < len(ts):
+                if tree is not None and epoch[k] == tree_epoch:
+                    stop = k + _leading(epoch[k:k + _WITNESS_BLOCK] == tree_epoch)
+                    held = _leading(
+                        links_alive(tree, table[k:stop], comm_range).all(axis=1)
+                    )
+                    certified += held
+                    k += held
+                    if k < stop:
+                        tree = None
+                    continue
+                tree = None
+                snapshot, local, present = table[k], all_anchors, None
+                if alive_until is not None:
+                    present = np.flatnonzero(ts[k] < alive_until)
+                    if not len(present):
+                        k += 1
+                        continue
+                    snapshot = snapshot[present]
+                    local = np.flatnonzero(is_anchor[present]).tolist()
+                graph = UnitDiskGraph(snapshot, comm_range)
+                graphs += 1
+                if local:
+                    counts[k] = int((~graph.nodes_connected_to(local)).sum())
+                else:
+                    counts[k] = graph.node_count - len(graph.components[0])
+                if (k + 1 < len(ts) and epoch[k + 1] == epoch[k]
+                        and graph.is_connected()):
+                    tree, tree_epoch = _witness(graph), epoch[k]
+                    if present is not None:
+                        tree = present[tree]
+                k += 1
+        sp.set_attributes(graphs=graphs, certified=certified)
     return counts
+
+
+def _leading(mask: np.ndarray) -> int:
+    """Length of the all-true prefix of a boolean vector."""
+    return len(mask) if mask.all() else int(np.argmin(mask))
+
+
+def _witness(graph: UnitDiskGraph) -> np.ndarray:
+    """A spanning tree of a connected graph's links, longest link minimised."""
+    e = graph.edges
+    d = graph.positions[e[:, 0]] - graph.positions[e[:, 1]]
+    return spanning_tree(graph.node_count, e, np.hypot(d[:, 0], d[:, 1]))
 
 
 def global_connectivity(

@@ -1,9 +1,11 @@
-"""Graph kernel: CSR adjacency, component labels, BFS layers.
+"""Graph kernel: CSR adjacency, component labels, spanning trees, BFS layers.
 
-The one place that builds graph structure or labels connected
-components.  Communication graphs, triangle meshes, connectivity repair
-and the distributed protocols' centralized reference implementations
-all go through :func:`csr_from_edges` and :func:`component_labels`.
+The one place that builds graph structure, labels connected components
+or builds spanning trees.  Communication graphs, triangle meshes,
+connectivity repair and the distributed protocols' centralized
+reference implementations all go through :func:`csr_from_edges` and
+:func:`component_labels`; the Definition-2 evaluator's connectivity
+witness comes from :func:`spanning_tree`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 
 __all__ = [
     "adjacency_from_csr",
@@ -22,6 +24,7 @@ __all__ = [
     "component_labels",
     "components_largest_first",
     "csr_from_edges",
+    "spanning_tree",
 ]
 
 
@@ -62,6 +65,24 @@ def component_labels(n: int, edges) -> np.ndarray:
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     graph = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
     return connected_components(graph, directed=False)[1]
+
+
+def spanning_tree(n: int, edges, lengths) -> np.ndarray:
+    """Links of a minimum spanning forest of ``n`` nodes: ``(n - c, 2)``, ``i < j``.
+
+    ``c`` is the number of components.  Link ``e`` weighs
+    ``1 + lengths[e]``: the offset keeps zero-length links, which scipy
+    would read as absent, and a minimum tree also makes its longest
+    link as short as any spanning tree's.
+    """
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    weights = 1.0 + np.asarray(lengths, dtype=float)
+    tree = minimum_spanning_tree(
+        coo_matrix((weights, (e[:, 0], e[:, 1])), shape=(n, n))
+    ).tocoo()
+    return np.column_stack(
+        [np.minimum(tree.row, tree.col), np.maximum(tree.row, tree.col)]
+    ).astype(int)
 
 
 def components_largest_first(labels: np.ndarray) -> list[list[int]]:

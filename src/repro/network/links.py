@@ -13,10 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import GeometryError
 from repro.geometry.vec import as_points
 from repro.network.udg import UnitDiskGraph, udg_edges
 
 __all__ = ["LinkTable", "links_alive"]
+
+# Link-snapshot cells :meth:`LinkTable.stable_mask_over` tests in one
+# vectorised call: many snapshots of a small table, one of a huge one,
+# so the ``(block, m)`` temporaries stay near 256 KB each.
+_SNAPSHOT_CELLS = 2**15
 
 
 def links_alive(links: np.ndarray, positions, comm_range: float) -> np.ndarray:
@@ -26,15 +32,33 @@ def links_alive(links: np.ndarray, positions, comm_range: float) -> np.ndarray:
     ----------
     links : (m, 2) int array
         Node-index pairs.
-    positions : (n, 2) array-like
+    positions : (n, 2) or (k, n, 2) array-like
+        One snapshot, or ``k`` stacked snapshots of the same robots.
     comm_range : float
+
+    Returns
+    -------
+    (m,) or (k, m) bool ndarray
+        ``hypot(dx, dy) <= comm_range`` per link (and snapshot): the
+        predicate :func:`~repro.network.udg.udg_edges` applies to every
+        pair, so a link is up here exactly when it is a graph edge.
     """
     links = np.asarray(links, dtype=int).reshape(-1, 2)
-    pts = as_points(positions)
-    if len(links) == 0:
-        return np.zeros(0, dtype=bool)
-    d = pts[links[:, 0]] - pts[links[:, 1]]
-    return np.hypot(d[:, 0], d[:, 1]) <= comm_range
+    pts = np.asarray(positions, dtype=float)
+    if pts.ndim != 3:
+        pts = as_points(pts)
+    elif pts.shape[-1] != 2 or not np.isfinite(pts).all():
+        raise GeometryError(
+            f"expected finite (k, n, 2) stacked positions, got shape {pts.shape}"
+        )
+    x, y = pts[..., 0], pts[..., 1]
+    a, b = links[:, 0], links[:, 1]
+    # In place, so a block of snapshots holds few ``(k, m)`` temporaries.
+    dx = x[..., a]
+    dx -= x[..., b]
+    dy = y[..., a]
+    dy -= y[..., b]
+    return np.hypot(dx, dy, out=dx) <= comm_range
 
 
 @dataclass(frozen=True)
@@ -82,16 +106,20 @@ class LinkTable:
 
         Parameters
         ----------
-        snapshots : iterable of (n, 2) arrays
-            Position samples over the transition, in time order.
+        snapshots : (k, n, 2) array or iterable of (n, 2) arrays
+            Position samples over the transition, in time order, tested
+            a block of snapshots per call.
 
         Returns
         -------
         (m,) bool ndarray
         """
+        if not isinstance(snapshots, np.ndarray):
+            snapshots = np.array([as_points(pos) for pos in snapshots])
         stable = np.ones(self.link_count, dtype=bool)
-        for pos in snapshots:
-            stable &= self.alive_mask(pos)
+        size = max(1, _SNAPSHOT_CELLS // max(1, self.link_count))
+        for start in range(0, len(snapshots), size):
+            stable &= self.alive_mask(snapshots[start:start + size]).all(axis=0)
             if not stable.any():
                 break
         return stable

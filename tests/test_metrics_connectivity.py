@@ -1,22 +1,27 @@
 """The one Definition-2 evaluator: ``repro.metrics.connectivity``.
 
 ``isolated_counts`` is checked against a straightforward per-instant
-oracle kept here, the left-limit and empty-anchor rules are pinned on
-small hand-built trajectories, and a source scan keeps every caller of
-the reachability flood inside the evaluator.
+oracle kept here - on hypothesis trajectories at several witness block
+sizes and on a real plan that breaks C - the left-limit and
+empty-anchor rules are pinned on small hand-built trajectories, and a
+source scan keeps every caller of the reachability flood inside the
+evaluator.
 """
 
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.experiments.harness import evaluate_trajectory
-from repro.metrics import connectivity_report, isolated_counts
+from repro.experiments.zoo.campaign import ZooConfig, build_zoo_scenario
+from repro.marching import MarchingPlanner
+from repro.metrics import connectivity, connectivity_report, isolated_counts
 from repro.network import LinkTable
-from repro.network.udg import UnitDiskGraph
 from repro.robots import SwarmTrajectory, TimedPath, straight_transition
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -28,7 +33,7 @@ def chain(n, spacing=1.0):
 
 def oracle_counts(traj, comm_range, anchors, times, side="right",
                   alive_until=None):
-    """Isolated robots per instant, one graph at a time."""
+    """Isolated robots per instant: a flood over every in-range pair."""
     out = []
     for t in times:
         present = [
@@ -39,16 +44,29 @@ def oracle_counts(traj, comm_range, anchors, times, side="right",
             out.append(0)
             continue
         pts = traj.positions_over(np.array([t]), side=side)[0][present]
-        graph = UnitDiskGraph(pts, comm_range)
+        d = pts[:, None, :] - pts[None, :, :]
+        near = np.hypot(d[..., 0], d[..., 1]) <= comm_range
+
+        def reached(sources):
+            seen, todo = set(sources), list(sources)
+            while todo:
+                for w in np.flatnonzero(near[todo.pop()]).tolist():
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+            return seen
+
         local = [present.index(a) for a in set(anchors or ()) if a in present]
         if local:
-            out.append(int((~graph.nodes_connected_to(local)).sum()))
-        else:
-            largest = max(
-                int(graph.nodes_connected_to([i]).sum())
-                for i in range(len(present))
-            )
-            out.append(len(present) - largest)
+            out.append(len(present) - len(reached(local)))
+            continue
+        largest, covered = 0, set()
+        for i in range(len(present)):
+            if i not in covered:
+                component = reached([i])
+                covered |= component
+                largest = max(largest, len(component))
+        out.append(len(present) - largest)
     return out
 
 
@@ -137,14 +155,22 @@ class TestAnchorRule:
             isolated_counts(traj, 1.5, None, [0.0], alive_until=[1.0])
 
 
+MAX_ROBOTS = 12
+
+
 @st.composite
 def trajectories(draw):
-    """Piecewise-linear swarms on a quarter grid, jumps included."""
-    n = draw(st.integers(2, 6))
+    """Piecewise-linear swarms on a quarter grid, jumps included.
+
+    The grid puts pairs at exactly the communication range and robots on
+    top of each other (zero-length links); up to eight waypoints give
+    long runs of instants for a witness to hold over.
+    """
+    n = draw(st.integers(2, MAX_ROBOTS))
     coord = st.integers(0, 12).map(lambda v: v / 4.0)
     paths = []
     for _ in range(n):
-        k = draw(st.integers(1, 4))
+        k = draw(st.integers(1, 8))
         # A zero step duplicates a time stamp: an instantaneous jump.
         steps = draw(st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5]),
                               min_size=k - 1, max_size=k - 1))
@@ -155,37 +181,59 @@ def trajectories(draw):
     return SwarmTrajectory(paths, 0.0, t_end)
 
 
+def evaluator_span(tracer):
+    (record,) = [r for r in tracer.get_trace() if r.name == "metrics.connectivity"]
+    return record.attributes
+
+
 class TestAgainstOracle:
     @given(
         traj=trajectories(),
         comm_range=st.sampled_from([0.75, 1.0, 1.5, 2.5]),
-        anchor_bits=st.integers(0, 63),
+        anchor_bits=st.integers(0, 2**MAX_ROBOTS - 1),
         side=st.sampled_from(["right", "left"]),
-        crashes=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, np.inf]),
-                         min_size=6, max_size=6),
-        resolution=st.integers(2, 9),
+        # Crash times between sample instants change the present set in
+        # the middle of a witness block.
+        crashes=st.lists(
+            st.sampled_from([0.0, 0.25, 0.3, 0.5, 0.61, 1.0, 1.7, np.inf]),
+            min_size=MAX_ROBOTS, max_size=MAX_ROBOTS,
+        ),
+        resolution=st.integers(2, 64),
+        reverse=st.booleans(),
+        block=st.sampled_from([1, 3, connectivity._WITNESS_BLOCK]),
     )
     @settings(max_examples=150, deadline=None)
     def test_counts_match_oracle(self, traj, comm_range, anchor_bits, side,
-                                 crashes, resolution):
+                                 crashes, resolution, reverse, block):
         n = traj.robot_count
         anchors = [j for j in range(n) if anchor_bits >> j & 1]
         alive_until = np.array(crashes[:n])
         times = np.union1d(traj.sample_times(resolution),
                            traj.discontinuity_times())
+        if reverse:
+            times = times[::-1]
         for until in (None, alive_until):
             for anc in (None, anchors):
-                got = isolated_counts(traj, comm_range, anc, times,
-                                      side=side, alive_until=until)
+                tracer = obs.Tracer()
+                with mock.patch.object(connectivity, "_WITNESS_BLOCK", block), \
+                        obs.activate(tracer):
+                    got = isolated_counts(traj, comm_range, anc, times,
+                                          side=side, alive_until=until)
                 assert got.tolist() == oracle_counts(
                     traj, comm_range, anc, times, side, until
                 )
+                attrs = evaluator_span(tracer)
+                nobody = 0 if until is None else int(
+                    sum(not (t < until).any() for t in times)
+                )
+                assert attrs["samples"] == len(times)
+                assert attrs["graphs"] + attrs["certified"] == len(times) - nobody
 
     @given(
         traj=trajectories(),
         comm_range=st.sampled_from([0.75, 1.0, 1.5, 2.5]),
-        anchor_bits=st.integers(0, 63),
-        resolution=st.integers(2, 9),
+        anchor_bits=st.integers(0, 2**MAX_ROBOTS - 1),
+        resolution=st.integers(2, 64),
     )
     @settings(max_examples=150, deadline=None)
     def test_any_oracle_violation_fails_the_report(self, traj, comm_range,
@@ -199,6 +247,81 @@ class TestAgainstOracle:
         assert rep.connected == (max(right + left) == 0)
         assert rep.max_isolated == max(right + left)
         assert rep.samples == len(right) + len(left)
+
+
+class TestWitness:
+    def test_zero_length_tree_link_certifies(self):
+        # Robots 1 and 2 coincide for the whole transition, so the tree
+        # holds a zero-length link; the chain also sits exactly at range.
+        pos = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+        traj = straight_transition(pos, pos)
+        times = traj.sample_times(32)
+        tracer = obs.Tracer()
+        with obs.activate(tracer):
+            counts = isolated_counts(traj, 1.0, [0], times)
+        assert (counts == 0).all()
+        assert evaluator_span(tracer) == {
+            "samples": len(times), "graphs": 1, "certified": len(times) - 1,
+        }
+
+    def test_broken_tree_link_falls_back_to_a_graph(self):
+        # Robot 2 walks away from the chain: the witness holds while the
+        # last link is within range and a full graph sees the split.
+        start = chain(3)
+        target = start + [[0.0, 0.0], [0.0, 0.0], [2.0, 0.0]]
+        traj = straight_transition(start, target)
+        times = np.linspace(0.0, 1.0, 9)
+        tracer = obs.Tracer()
+        with obs.activate(tracer):
+            counts = isolated_counts(traj, 1.5, None, times)
+        assert counts.tolist() == oracle_counts(traj, 1.5, None, times)
+        assert counts.tolist() == [0, 0, 0, 1, 1, 1, 1, 1, 1]
+        attrs = evaluator_span(tracer)
+        assert (attrs["graphs"], attrs["certified"]) == (7, 2)
+
+    def test_single_instant_builds_no_tree(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(connectivity, "spanning_tree",
+                            lambda *a: calls.append(a))
+        traj = straight_transition(chain(4), chain(4))
+        assert isolated_counts(traj, 1.5, [0], [0.5]).tolist() == [0]
+        assert calls == []
+
+    def test_empty_times_open_the_span(self):
+        tracer = obs.Tracer()
+        with obs.activate(tracer):
+            counts = isolated_counts(straight_transition(chain(2), chain(2)),
+                                     1.5, None, [])
+        assert counts.shape == (0,)
+        assert evaluator_span(tracer) == {"samples": 0, "graphs": 0, "certified": 0}
+
+
+class TestRealPlan:
+    """A zoo plan that breaks C, checked instant by instant.
+
+    ``corridor/1`` at 300 robots fails both the anchored and the plain
+    count, at different instants (see ROADMAP's "one network" item).
+    """
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        zoo = ZooConfig(robot_count=300, foi_target_points=500, grid_target=1000)
+        scenario = build_zoo_scenario("corridor", 1, zoo)
+        return MarchingPlanner(zoo.marching_config("ours (a)")).plan(
+            scenario.swarm, scenario.m2, source_foi=scenario.m1
+        )
+
+    @pytest.mark.parametrize("anchored", [True, False])
+    def test_counts_match_oracle(self, plan, anchored):
+        traj, comm_range = plan.trajectory, plan.links.comm_range
+        anchors = [int(a) for a in plan.boundary_anchors] if anchored else None
+        times = traj.sample_times(128)
+        want = oracle_counts(traj, comm_range, anchors, times)
+        assert max(want) > 0
+        for block in (1, 3, connectivity._WITNESS_BLOCK):
+            with mock.patch.object(connectivity, "_WITNESS_BLOCK", block):
+                got = isolated_counts(traj, comm_range, anchors, times)
+            assert got.tolist() == want
 
 
 def test_reachability_flood_is_called_only_by_the_evaluator():

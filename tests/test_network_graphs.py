@@ -1,7 +1,8 @@
-"""Tests for the graph kernel: CSR adjacency, component labels, BFS.
+"""Tests for the graph kernel: CSR adjacency, component labels,
+spanning trees, BFS.
 
 networkx is the oracle; a source scan keeps the kernel the only code
-that labels components or builds CSR adjacency.
+that labels components, builds CSR adjacency or builds spanning trees.
 """
 
 import re
@@ -19,7 +20,7 @@ from repro.network import (
     bfs_hops,
     component_labels,
 )
-from repro.network.graphs import components_largest_first
+from repro.network.graphs import components_largest_first, spanning_tree
 
 REPRO_SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -73,6 +74,37 @@ class TestComponentLabels:
         # Components are numbered in the order of their lowest node.
         lowest = [int(np.flatnonzero(labels == k)[0]) for k in range(labels.max() + 1)]
         assert lowest == sorted(lowest)
+
+
+class TestSpanningTree:
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                    min_size=1, max_size=14))
+    @settings(max_examples=100)
+    def test_minimum_forest_of_a_unit_disk_graph(self, cells):
+        # A quarter grid: coincident robots give zero-length links and
+        # many pairs sit exactly at range.
+        pts = np.array(cells, dtype=float) / 4.0
+        graph = UnitDiskGraph(pts, 0.5)
+        d = pts[graph.edges[:, 0]] - pts[graph.edges[:, 1]]
+        lengths = np.hypot(d[:, 0], d[:, 1])
+        tree = spanning_tree(len(pts), graph.edges, lengths)
+        g = nx.Graph()
+        g.add_nodes_from(range(len(pts)))
+        g.add_weighted_edges_from(
+            (int(i), int(j), 1.0 + w) for (i, j), w in zip(graph.edges, lengths)
+        )
+        assert (tree[:, 0] < tree[:, 1]).all()
+        assert {tuple(e) for e in tree.tolist()} <= graph.edge_set
+        assert len(tree) == len(pts) - nx.number_connected_components(g)
+        assert component_labels(len(pts), tree).tolist() == graph._labels.tolist()
+        weight = dict(zip(map(tuple, graph.edges.tolist()), 1.0 + lengths))
+        assert sum(weight[tuple(e)] for e in tree.tolist()) == pytest.approx(
+            nx.minimum_spanning_tree(g).size(weight="weight")
+        )
+
+    def test_zero_length_link_kept(self):
+        tree = spanning_tree(3, [(0, 1), (1, 2)], [0.0, 0.5])
+        assert sorted(tree.tolist()) == [[0, 1], [1, 2]]
 
 
 class TestAdjacencyAndBfs:
@@ -167,9 +199,15 @@ class TestKernelCallers:
 
 
 def test_one_component_kernel():
-    """Only ``network/graphs.py`` labels components or builds CSR adjacency."""
+    """Only ``network/graphs.py`` labels components, builds CSR adjacency
+    or builds spanning trees, and only it imports ``scipy.sparse.csgraph``."""
     forbidden = [r"def find\(", r"parent\[", r"stack\.pop\(\)", r"_frontier_neighbors"]
-    kernel_only = [r"connected_components\(", r"np\.cumsum\(np\.bincount\("]
+    kernel_only = [
+        r"connected_components\(",
+        r"np\.cumsum\(np\.bincount\(",
+        r"minimum_spanning_tree\(",
+        r"scipy\.sparse\.csgraph|from\s+scipy\.sparse\s+import[^\n]*\bcsgraph\b",
+    ]
     sources = {
         str(path.relative_to(REPRO_SRC)): path.read_text()
         for path in REPRO_SRC.rglob("*.py")

@@ -1,11 +1,14 @@
 """Tests for unit-disk graphs and link bookkeeping."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import GeometryError
 from repro.network import LinkTable, UnitDiskGraph, links_alive, udg_edges
+from repro.network import links as links_module
 
 LINE = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [5.0, 0.0]])
 
@@ -126,3 +129,78 @@ class TestLinkTable:
         assert alive.tolist() == [True, True]
         alive = links_alive(np.zeros((0, 2), dtype=int), LINE, 1.5)
         assert len(alive) == 0
+
+
+quarter = st.integers(0, 12).map(lambda v: v / 4.0)
+
+
+@st.composite
+def stacked_positions(draw):
+    """``(k, n, 2)`` snapshots on a quarter grid (ranges hit exactly)."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(0, 12))
+    return np.array(
+        [[[draw(quarter), draw(quarter)] for _ in range(n)] for _ in range(k)]
+    ).reshape(k, n, 2)
+
+
+def per_snapshot_stable(links, snapshots, comm_range):
+    """Definition 1's mask, one snapshot at a time (the oracle)."""
+    stable = np.ones(len(links), dtype=bool)
+    for pos in snapshots:
+        stable &= links_alive(links, pos, comm_range)
+    return stable
+
+
+class TestStackedLinks:
+    @given(snaps=stacked_positions(),
+           comm_range=st.sampled_from([0.25, 0.75, 1.0, 1.5]))
+    @settings(max_examples=100, deadline=None)
+    def test_links_alive_is_the_udg_predicate(self, snaps, comm_range):
+        # Every pair is up under links_alive exactly when udg_edges keeps
+        # it: the spanning-tree witness of Definition 2 relies on this.
+        n = snaps.shape[1]
+        pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
+        for pos in snaps:
+            edges = {tuple(e) for e in udg_edges(pos, comm_range).tolist()}
+            alive = links_alive(pairs, pos, comm_range)
+            assert {tuple(p) for p in pairs[alive].tolist()} == edges
+
+    @given(snaps=stacked_positions(),
+           comm_range=st.sampled_from([0.25, 0.75, 1.0, 1.5]))
+    @settings(max_examples=100, deadline=None)
+    def test_stacked_equals_per_snapshot(self, snaps, comm_range):
+        n = snaps.shape[1]
+        links = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
+        got = links_alive(links, snaps, comm_range)
+        assert got.shape == (len(snaps), len(links))
+        for k, pos in enumerate(snaps):
+            assert got[k].tolist() == links_alive(links, pos, comm_range).tolist()
+
+    @given(snaps=stacked_positions(),
+           comm_range=st.sampled_from([0.75, 1.0, 1.5, 2.5]),
+           cells=st.sampled_from([1, 20, 50, links_module._SNAPSHOT_CELLS]),
+           form=st.sampled_from(["array", "list", "generator"]))
+    @settings(max_examples=100, deadline=None)
+    def test_stable_mask_equals_per_snapshot_loop(self, snaps, comm_range,
+                                                  cells, form):
+        start = snaps[0] if len(snaps) else np.zeros((snaps.shape[1], 2))
+        table = LinkTable.from_positions(start, comm_range)
+        given_snaps = {"array": snaps, "list": list(snaps),
+                       "generator": (pos for pos in snaps)}[form]
+        with mock.patch.object(links_module, "_SNAPSHOT_CELLS", cells):
+            got = table.stable_mask_over(given_snaps)
+        want = per_snapshot_stable(table.links, snaps, comm_range)
+        assert got.dtype == bool
+        assert got.tolist() == want.tolist()
+
+    def test_stacked_rejects_bad_shapes(self):
+        links = np.array([[0, 1]])
+        with pytest.raises(GeometryError):
+            links_alive(links, np.zeros((2, 3, 3)), 1.0)
+        with pytest.raises(GeometryError):
+            links_alive(links, np.full((2, 2, 2), np.nan), 1.0)
+
+    def test_empty_links_stacked(self):
+        assert links_alive(np.zeros((0, 2), dtype=int),
+                           np.zeros((3, 4, 2)), 1.0).shape == (3, 0)
