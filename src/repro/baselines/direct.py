@@ -20,7 +20,7 @@ from repro.baselines.hungarian import min_cost_matching
 from repro.baselines.plans import BaselinePlan
 from repro.foi.region import FieldOfInterest
 from repro.geometry.vec import as_points
-from repro.robots.motion import SwarmTrajectory, TimedPath
+from repro.robots.transition import straight_transition
 
 __all__ = ["direct_translation_plan"]
 
@@ -64,12 +64,9 @@ def direct_translation_plan(
         split = t_end * (rigid_leg / total_leg)
         split = min(max(split, 0.05 * t_end), 0.95 * t_end)
 
-    paths = []
-    for a, mid, b in zip(p, translated, finals):
-        phase1 = TimedPath.constant_speed(np.vstack([a, mid]), 0.0, split)
-        phase2 = TimedPath.constant_speed(np.vstack([mid, b]), split, t_end)
-        paths.append(phase1.then(phase2))
-    trajectory = SwarmTrajectory(paths, 0.0, t_end)
+    trajectory = straight_transition(p, translated, 0.0, split).then(
+        straight_transition(translated, finals, split, t_end)
+    )
     return BaselinePlan(
         name="direct translation",
         assignment=assignment,

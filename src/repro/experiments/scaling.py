@@ -84,7 +84,7 @@ def _curve_for_size(
     from repro.mesh.delaunay import delaunay_mesh
     from repro.network import LinkTable, UnitDiskGraph, udg_edges
     from repro.network.udg import _udg_edges_bruteforce
-    from repro.robots.motion import SwarmTrajectory, TimedPath
+    from repro.robots.transition import straight_transition
 
     pts = synthetic_swarm_positions(n, comm_range, seed)
     rows: list[dict] = []
@@ -112,10 +112,7 @@ def _curve_for_size(
     # Straight constant-speed march of the whole swarm, sampled on a
     # uniform grid - the motion model the metrics consume.
     goal = pts + np.array([comm_range, 0.0])
-    paths = [
-        TimedPath(np.vstack([p, q]), [0.0, 10.0]) for p, q in zip(pts, goal)
-    ]
-    traj = SwarmTrajectory(paths, 0.0, 10.0)
+    traj = straight_transition(pts, goal, 0.0, 10.0)
     times = np.linspace(0.0, 10.0, _SAMPLE_TIMES)
     table = record(
         "robots.sampling",

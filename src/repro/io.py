@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import ReproError
 from repro.marching.result import MarchingResult, RepairInfo
 from repro.network.links import LinkTable
-from repro.robots.motion import SwarmTrajectory, TimedPath
+from repro.robots.motion import SwarmTrajectory
 
 __all__ = [
     "FORMAT_VERSION",
@@ -165,11 +165,8 @@ def _trajectory_to_dict(trajectory: SwarmTrajectory) -> dict[str, Any]:
         "t_start": trajectory.t_start,
         "t_end": trajectory.t_end,
         "paths": [
-            {
-                "waypoints": p.waypoints.tolist(),
-                "times": p.times.tolist(),
-            }
-            for p in trajectory.paths
+            {"waypoints": xy.tolist(), "times": times.tolist()}
+            for xy, times in map(trajectory.path, range(trajectory.robot_count))
         ],
     }
 
@@ -177,12 +174,11 @@ def _trajectory_to_dict(trajectory: SwarmTrajectory) -> dict[str, Any]:
 def trajectory_from_dict(data: dict[str, Any]) -> SwarmTrajectory:
     """Rebuild a :class:`SwarmTrajectory` from its JSON form."""
     try:
-        paths = [
-            TimedPath(np.asarray(p["waypoints"], dtype=float),
-                      np.asarray(p["times"], dtype=float))
-            for p in data["paths"]
-        ]
-        return SwarmTrajectory(paths, float(data["t_start"]), float(data["t_end"]))
+        return SwarmTrajectory.from_paths(
+            ((p["waypoints"], p["times"]) for p in data["paths"]),
+            float(data["t_start"]),
+            float(data["t_end"]),
+        )
     except (KeyError, TypeError) as exc:
         raise ReproError(f"malformed trajectory document: {exc}") from exc
 

@@ -43,6 +43,9 @@ __all__ = [
 
 # Instants whose witness links are tested in one vectorised call.
 _WITNESS_BLOCK = 32
+# Instants whose positions are fetched from the trajectory at once, so
+# memory stays O(n) however many instants are evaluated.
+_POSITION_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -114,48 +117,49 @@ def isolated_counts(
     counts = np.zeros(len(ts), dtype=int)
     with span("metrics.connectivity", samples=len(ts)) as sp:
         graphs = certified = 0
-        if len(ts):
-            table = trajectory.positions_over(ts, side=side)
-            # Instants share a present set exactly when they share the
-            # number of crash times at or before them.
-            epoch = (
-                np.zeros(len(ts), dtype=int) if alive_until is None
-                else np.searchsorted(np.sort(alive_until), ts, side="right")
-            )
-            all_anchors = np.flatnonzero(is_anchor).tolist()
-            tree, tree_epoch, k = None, None, 0
-            while k < len(ts):
-                if tree is not None and epoch[k] == tree_epoch:
-                    stop = k + _leading(epoch[k:k + _WITNESS_BLOCK] == tree_epoch)
-                    held = _leading(
-                        links_alive(tree, table[k:stop], comm_range).all(axis=1)
-                    )
-                    certified += held
-                    k += held
-                    if k < stop:
-                        tree = None
+        # Instants share a present set exactly when they share the
+        # number of crash times at or before them.
+        epoch = (
+            np.zeros(len(ts), dtype=int) if alive_until is None
+            else np.searchsorted(np.sort(alive_until), ts, side="right")
+        )
+        all_anchors = np.flatnonzero(is_anchor).tolist()
+        tree, tree_epoch, k, lo, end = None, None, 0, 0, 0
+        while k < len(ts):
+            if k == end:
+                lo, end = k, min(k + _POSITION_BLOCK, len(ts))
+                table = trajectory.positions_over(ts[lo:end], side=side)
+            if tree is not None and epoch[k] == tree_epoch:
+                stop = k + _leading(epoch[k:min(k + _WITNESS_BLOCK, end)] == tree_epoch)
+                held = _leading(
+                    links_alive(tree, table[k - lo:stop - lo], comm_range).all(axis=1)
+                )
+                certified += held
+                k += held
+                if k < stop:
+                    tree = None
+                continue
+            tree = None
+            snapshot, local, present = table[k - lo], all_anchors, None
+            if alive_until is not None:
+                present = np.flatnonzero(ts[k] < alive_until)
+                if not len(present):
+                    k += 1
                     continue
-                tree = None
-                snapshot, local, present = table[k], all_anchors, None
-                if alive_until is not None:
-                    present = np.flatnonzero(ts[k] < alive_until)
-                    if not len(present):
-                        k += 1
-                        continue
-                    snapshot = snapshot[present]
-                    local = np.flatnonzero(is_anchor[present]).tolist()
-                graph = UnitDiskGraph(snapshot, comm_range)
-                graphs += 1
-                if local:
-                    counts[k] = int((~graph.nodes_connected_to(local)).sum())
-                else:
-                    counts[k] = graph.node_count - len(graph.components[0])
-                if (k + 1 < len(ts) and epoch[k + 1] == epoch[k]
-                        and graph.is_connected()):
-                    tree, tree_epoch = _witness(graph), epoch[k]
-                    if present is not None:
-                        tree = present[tree]
-                k += 1
+                snapshot = snapshot[present]
+                local = np.flatnonzero(is_anchor[present]).tolist()
+            graph = UnitDiskGraph(snapshot, comm_range)
+            graphs += 1
+            if local:
+                counts[k] = int((~graph.nodes_connected_to(local)).sum())
+            else:
+                counts[k] = graph.node_count - len(graph.components[0])
+            if (k + 1 < len(ts) and epoch[k + 1] == epoch[k]
+                    and graph.is_connected()):
+                tree, tree_epoch = _witness(graph), epoch[k]
+                if present is not None:
+                    tree = present[tree]
+            k += 1
         sp.set_attributes(graphs=graphs, certified=certified)
     return counts
 

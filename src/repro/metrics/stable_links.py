@@ -25,6 +25,10 @@ from repro.robots.motion import SwarmTrajectory
 
 __all__ = ["StableLinkReport", "stable_link_ratio", "stable_link_report"]
 
+# Instants whose positions are fetched from the trajectory at once, so
+# memory stays O(n) however many instants are sampled.
+_POSITION_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class StableLinkReport:
@@ -65,14 +69,12 @@ def stable_link_report(
         links=links.link_count,
         samples=int(len(times)),
     ) as sp:
-        stable = links.stable_mask_over(trajectory.positions_over(times))
+        stable = _stable_over(links, trajectory, times, "right")
         disc = trajectory.discontinuity_times()
         if len(disc):
             # Right-continuous sampling above misses the pre-jump
             # positions; AND in aliveness at the left-sided limits.
-            stable &= links.stable_mask_over(
-                trajectory.positions_over(disc, side="left")
-            )
+            stable &= _stable_over(links, trajectory, disc, "left")
         m = links.link_count
         s = int(stable.sum())
         ratio = 1.0 if m == 0 else s / m
@@ -83,3 +85,17 @@ def stable_link_report(
         ratio=ratio,
         broken_mask=~stable,
     )
+
+
+def _stable_over(
+    links: LinkTable, trajectory: SwarmTrajectory, times: np.ndarray, side: str
+) -> np.ndarray:
+    """Links alive at every one of ``times`` (``side``-limits at jumps)."""
+    stable = np.ones(links.link_count, dtype=bool)
+    for lo in range(0, len(times), _POSITION_BLOCK):
+        if not stable.any():
+            break
+        stable &= links.stable_mask_over(
+            trajectory.positions_over(times[lo:lo + _POSITION_BLOCK], side=side)
+        )
+    return stable

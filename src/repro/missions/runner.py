@@ -287,12 +287,9 @@ class MissionRunner:
             )
             violations = int(np.count_nonzero(right) + np.count_nonzero(left))
             samples = len(ts) + len(disc)
-            distances = traj.distances_between(traj.t_start, t_cut)
-            for j in np.flatnonzero(np.isfinite(alive_until)):
-                distances[j] = traj.distances_between(
-                    traj.t_start, alive_until[j]
-                )[j]
-            executed = float(distances.sum())
+            # A crashed robot flew until its crash, the rest until t_cut.
+            flown_until = np.where(np.isfinite(alive_until), alive_until, t_cut)
+            executed = float(traj.distances_between(traj.t_start, flown_until).sum())
             ratio = float(
                 stable_link_ratio(result.links, traj, config.resolution)
             )

@@ -1,6 +1,6 @@
 """Robot, swarm, and motion models."""
 
-from repro.robots.motion import SwarmTrajectory, TimedPath
+from repro.robots.motion import SwarmTrajectory
 from repro.robots.robot import SQRT3, RadioSpec, Robot
 from repro.robots.swarm import Swarm
 from repro.robots.transition import (
@@ -17,7 +17,6 @@ __all__ = [
     "SQRT3",
     "Swarm",
     "SwarmTrajectory",
-    "TimedPath",
     "detoured_transition",
     "stepwise_trajectory",
     "straight_transition",

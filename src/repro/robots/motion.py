@@ -1,11 +1,11 @@
-"""Timed motion plans for individual robots and whole swarms.
+"""Timed motion plans for whole swarms.
 
 Eqn. 2 of the paper moves a robot along the straight line
 ``(T - t)/T * p(v) + t/T * q(v)``; detours around holes and the Lloyd
-adjustment generalise this to piecewise-linear paths.  A
-:class:`TimedPath` is a polyline with a time stamp per waypoint; a
-:class:`SwarmTrajectory` bundles one path per robot over a common time
-interval and supports the sampling the metrics need.
+adjustment generalise this to piecewise-linear paths on one shared
+clock.  A :class:`SwarmTrajectory` stores every robot's path in one
+ragged array: robot ``i`` owns rows ``offsets[i]:offsets[i+1]`` of
+``xy`` (waypoints) and ``times`` (non-decreasing time stamps).
 
 A useful fact the evaluator exploits: when two robots both move
 linearly on a common sub-interval, their mutual distance is a convex
@@ -17,268 +17,196 @@ stamp with different positions (an instantaneous jump): interval
 sampling only sees the post-jump position there, so exact evaluators
 must additionally check the left-sided limit at
 :meth:`SwarmTrajectory.discontinuity_times`.
+
+Every query is one vectorised pass, bitwise equal to a per-robot rule
+the tests keep: :meth:`~SwarmTrajectory.positions_over` follows
+``np.interp``'s branches from the right and a clipped-alpha blend from
+the left, :meth:`~SwarmTrajectory.positions_at` the blend clamped to
+the end waypoints, and per-robot sums reduce each robot's run in
+numpy's own 1-D order (:func:`_runs`).  DESIGN.md ("How a transition
+is stored") states the rules in full.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import PlanningError
-from repro.geometry.vec import as_points, polyline_length
+from repro.geometry.vec import as_points
 
-__all__ = ["TimedPath", "SwarmTrajectory"]
-
-
-class TimedPath:
-    """A piecewise-linear path through time.
-
-    Parameters
-    ----------
-    waypoints : (k, 2) array-like
-        Path vertices, ``k >= 1``.
-    times : (k,) array-like
-        Non-decreasing time stamps, one per waypoint.
-    """
-
-    def __init__(self, waypoints, times) -> None:
-        self.waypoints = as_points(waypoints)
-        t = np.asarray(times, dtype=float)
-        if len(self.waypoints) == 0:
-            raise PlanningError("a path needs at least one waypoint")
-        if t.shape != (len(self.waypoints),):
-            raise PlanningError("times must align with waypoints")
-        if np.any(np.diff(t) < -1e-12):
-            raise PlanningError("times must be non-decreasing")
-        self.times = t
-
-    @classmethod
-    def constant_speed(cls, waypoints, t_start: float, t_end: float) -> "TimedPath":
-        """Traverse ``waypoints`` at constant speed over ``[t_start, t_end]``.
-
-        This is the paper's motion model: every robot departs at
-        ``t_start`` and arrives at ``t_end``, so robots with longer
-        paths move faster.  A single waypoint yields a stationary path.
-        """
-        pts = as_points(waypoints)
-        if t_end < t_start:
-            raise PlanningError("t_end must be >= t_start")
-        if len(pts) == 1:
-            return cls(pts, [t_start])
-        seg = np.diff(pts, axis=0)
-        seg_len = np.hypot(seg[:, 0], seg[:, 1])
-        total = float(seg_len.sum())
-        if total <= 0:
-            return cls(pts[:1], [t_start])
-        frac = np.concatenate([[0.0], np.cumsum(seg_len) / total])
-        return cls(pts, t_start + frac * (t_end - t_start))
-
-    @classmethod
-    def stationary(cls, point, t_start: float) -> "TimedPath":
-        """A path that never moves."""
-        return cls(np.asarray(point, dtype=float)[None, :], [t_start])
-
-    @property
-    def start(self) -> np.ndarray:
-        return self.waypoints[0]
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.waypoints[-1]
-
-    @cached_property
-    def length(self) -> float:
-        """Total distance travelled."""
-        return polyline_length(self.waypoints)
-
-    def length_between(self, t0: float, t1: float) -> float:
-        """Distance travelled over ``[t0, t1]`` (clamped to the span).
-
-        Exact for the piecewise-linear motion model: the partial
-        polyline through every waypoint inside the window plus the two
-        interpolated endpoints.
-        """
-        if t1 <= t0 or len(self.waypoints) == 1:
-            return 0.0
-        inside = (self.times > t0) & (self.times < t1)
-        pts = np.vstack(
-            [
-                self.position_at(t0)[None, :],
-                self.waypoints[inside],
-                self.position_at(t1)[None, :],
-            ]
-        )
-        return polyline_length(pts)
-
-    def position_at(self, t: float) -> np.ndarray:
-        """Position at time ``t`` (clamped to the path's time span)."""
-        times = self.times
-        if t <= times[0] or len(times) == 1:
-            return self.waypoints[0].copy()
-        if t >= times[-1]:
-            return self.waypoints[-1].copy()
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        i = min(i, len(times) - 2)
-        dt = times[i + 1] - times[i]
-        if dt <= 0:
-            return self.waypoints[i + 1].copy()
-        alpha = (t - times[i]) / dt
-        return (1.0 - alpha) * self.waypoints[i] + alpha * self.waypoints[i + 1]
-
-    def positions_at_many(self, ts, side: str = "right") -> np.ndarray:
-        """Positions at many times at once (vectorised).
-
-        Parameters
-        ----------
-        ts : (k,) array-like
-        side : {"right", "left"}
-            Which one-sided limit to take at a *discontinuity* - a
-            waypoint time duplicated with different positions (an
-            instantaneous jump).  ``"right"`` (default) returns the
-            post-jump position, matching :meth:`position_at`;
-            ``"left"`` returns the position approached from earlier
-            times.  At continuous instants both sides agree.
-        """
-        ts = np.asarray(ts, dtype=float)
-        if len(self.waypoints) == 1:
-            return np.tile(self.waypoints[0], (len(ts), 1))
-        if side == "right":
-            x = np.interp(ts, self.times, self.waypoints[:, 0])
-            y = np.interp(ts, self.times, self.waypoints[:, 1])
-            return np.column_stack([x, y])
-        if side != "left":
-            raise PlanningError(f"side must be 'left' or 'right', got {side!r}")
-        times = self.times
-        # Segment [j, j+1] with times[j] < t <= times[j+1]; at a
-        # duplicated time this picks the *pre*-jump segment.
-        j = np.searchsorted(times, ts, side="left") - 1
-        j = np.clip(j, 0, len(times) - 2)
-        t0 = times[j]
-        dt = times[j + 1] - t0
-        safe = np.where(dt > 0, dt, 1.0)
-        alpha = np.where(dt > 0, (ts - t0) / safe, (ts > t0).astype(float))
-        alpha = np.clip(alpha, 0.0, 1.0)[:, None]
-        return (1.0 - alpha) * self.waypoints[j] + alpha * self.waypoints[j + 1]
-
-    def discontinuity_times(self) -> np.ndarray:
-        """Times where the position jumps (duplicated waypoint times).
-
-        A :class:`TimedPath` permits two waypoints at the same time
-        stamp, which models an instantaneous position change.  Interval
-        sampling is blind to the pre-jump position at such a time, so
-        evaluators must check both one-sided limits there.
-        """
-        t = self.times
-        if len(t) < 2:
-            return np.empty(0, dtype=float)
-        same_t = np.abs(np.diff(t)) <= 1e-12
-        seg = np.diff(self.waypoints, axis=0)
-        moved = np.hypot(seg[:, 0], seg[:, 1]) > 0.0
-        return np.unique(t[1:][same_t & moved])
-
-    def then(self, other: "TimedPath") -> "TimedPath":
-        """Concatenate with a later path starting where this one ends.
-
-        Raises
-        ------
-        PlanningError
-            If the endpoints or time stamps do not line up.
-        """
-        if not np.allclose(self.end, other.start, atol=1e-6):
-            raise PlanningError("paths do not share a junction point")
-        if other.times[0] < self.times[-1] - 1e-9:
-            raise PlanningError("second path starts before the first ends")
-        return TimedPath(
-            np.vstack([self.waypoints, other.waypoints[1:]]),
-            np.concatenate([self.times, other.times[1:]]),
-        )
+__all__ = ["SwarmTrajectory"]
 
 
 class SwarmTrajectory:
-    """One :class:`TimedPath` per robot over a common interval.
+    """Every robot's piecewise-linear path over a common interval.
 
     Parameters
     ----------
-    paths : sequence of TimedPath
-        Path ``i`` belongs to robot ``i``.
+    offsets : (n + 1,) int array-like
+        Robot ``i`` owns rows ``offsets[i]:offsets[i+1]``; ``n >= 1``
+        robots with at least one waypoint each.
+    times : (N,) array-like
+        Time stamps, non-decreasing within each robot's rows.
+    xy : (N, 2) array-like
+        Waypoints.
     t_start, t_end : float
-        Common interval; individual paths may be stationary within it.
+        Common interval; individual robots may be stationary within it.
     """
 
-    def __init__(self, paths: Sequence[TimedPath], t_start: float, t_end: float) -> None:
-        if not paths:
-            raise PlanningError("a swarm trajectory needs at least one path")
+    def __init__(self, offsets, times, xy, t_start: float, t_end: float) -> None:
+        self.offsets, self.xy = _ragged(offsets, xy)
+        self.times = np.asarray(times, dtype=float)
+        if self.times.shape != (len(self.xy),):
+            raise PlanningError("times must align with waypoints")
+        if np.any(np.diff(self.times)[self._same_robot] < -1e-12):
+            raise PlanningError("times must be non-decreasing")
         if t_end < t_start:
             raise PlanningError("t_end must be >= t_start")
-        self.paths = list(paths)
         self.t_start = float(t_start)
         self.t_end = float(t_end)
 
+    @classmethod
+    def constant_speed(
+        cls, offsets, xy, t_start: float, t_end: float
+    ) -> "SwarmTrajectory":
+        """Each robot crosses its polyline at constant speed in ``[t_start, t_end]``.
+
+        This is the paper's motion model: every robot departs at
+        ``t_start`` and arrives at ``t_end``, so robots with longer
+        paths move faster.  A robot with one waypoint, or a polyline of
+        zero length, keeps only its first waypoint (stationary).
+        """
+        offsets, xy = _ragged(offsets, xy)
+        if t_end < t_start:
+            raise PlanningError("t_end must be >= t_start")
+        starts, counts = offsets[:-1], np.diff(offsets)
+        seg = _segment_lengths(xy)
+        total = np.zeros(len(counts))
+        frac = np.zeros(len(xy))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for robots, rows in _runs(starts, counts - 1):
+                block = seg[rows]
+                total[robots] = block.sum(axis=1)
+                frac[rows + 1] = block.cumsum(axis=1) / total[robots, None]
+        moving = total > 0
+        keep = np.repeat(moving, counts)
+        keep[starts] = True
+        kept = np.where(moving, counts, 1)
+        return cls(
+            np.concatenate([[0], np.cumsum(kept)]),
+            (t_start + frac * (t_end - t_start))[keep],
+            xy[keep],
+            t_start,
+            t_end,
+        )
+
+    @classmethod
+    def from_paths(cls, paths, t_start: float, t_end: float) -> "SwarmTrajectory":
+        """Build from per-robot ``(waypoints, times)`` pairs (the JSON layout)."""
+        xys, stamps = [], []
+        for waypoints, times in paths:
+            xy = as_points(waypoints)
+            t = np.asarray(times, dtype=float)
+            if len(xy) == 0:
+                raise PlanningError("a path needs at least one waypoint")
+            if t.shape != (len(xy),):
+                raise PlanningError("times must align with waypoints")
+            xys.append(xy)
+            stamps.append(t)
+        if not xys:
+            raise PlanningError("a swarm trajectory needs at least one path")
+        offsets = np.concatenate([[0], np.cumsum([len(xy) for xy in xys])])
+        return cls(offsets, np.concatenate(stamps), np.concatenate(xys), t_start, t_end)
+
+    def path(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Robot ``i``'s ``(waypoints, times)`` rows (views, not copies)."""
+        rows = slice(self.offsets[i], self.offsets[i + 1])
+        return self.xy[rows], self.times[rows]
+
     @property
     def robot_count(self) -> int:
-        return len(self.paths)
+        return len(self.offsets) - 1
 
     @property
     def duration(self) -> float:
         return self.t_end - self.t_start
 
     @cached_property
-    def _vector_groups(self) -> dict:
-        """Paths grouped by shape for vectorised sampling.
+    def _robot(self) -> np.ndarray:
+        """Owning robot of every row."""
+        return np.repeat(np.arange(self.robot_count), np.diff(self.offsets))
 
-        Almost every path a planner emits is either stationary (one
-        waypoint) or a single timed segment (two waypoints); those are
-        sampled for the whole swarm with a couple of array expressions.
-        Longer polylines fall back to per-path sampling.  Grouping is
-        computed once - paths are never mutated after construction.
+    @cached_property
+    def _same_robot(self) -> np.ndarray:
+        """``(N - 1,)`` mask: rows ``r`` and ``r + 1`` belong to one robot."""
+        mask = np.ones(max(len(self.times) - 1, 0), dtype=bool)
+        mask[self.offsets[1:-1] - 1] = False
+        return mask
+
+    @cached_property
+    def _slopes(self) -> np.ndarray:
+        """``np.interp``'s per-segment slope; 0 where no segment starts."""
+        dxy = np.diff(self.xy, axis=0)
+        dt = np.diff(self.times)
+        live = self._same_robot & (dt > 0)
+        out = np.zeros_like(self.xy)
+        out[:-1][live] = dxy[live] / dt[live, None]
+        return out
+
+    def _rows(self, ts: np.ndarray, side: str) -> np.ndarray:
+        """``(k, n)``: each robot's last row with time ``<= t`` (right) or ``< t``.
+
+        ``offsets[i] - 1`` where robot ``i`` has no such row.  Each row
+        counts from its rank among the sorted instants on, so one
+        ``bincount`` and a ``cumsum`` over the instants count them all.
         """
-        single, two, other = [], [], []
-        for i, p in enumerate(self.paths):
-            if len(p.waypoints) == 1:
-                single.append(i)
-            elif len(p.waypoints) == 2 and p.times[1] > p.times[0]:
-                two.append(i)
-            else:
-                other.append(i)
-        g: dict = {
-            "single_idx": np.array(single, dtype=int),
-            "two_idx": np.array(two, dtype=int),
-            "other_idx": other,
-        }
-        g["single_w"] = (
-            np.array([self.paths[i].waypoints[0] for i in single])
-            if single
-            else np.zeros((0, 2))
+        n = self.robot_count
+        order = np.argsort(ts, kind="stable")
+        rank = np.searchsorted(
+            ts[order], self.times, side="left" if side == "right" else "right"
         )
-        if two:
-            g["two_w0"] = np.array([self.paths[i].waypoints[0] for i in two])
-            g["two_w1"] = np.array([self.paths[i].waypoints[1] for i in two])
-            g["two_t0"] = np.array([self.paths[i].times[0] for i in two])
-            g["two_t1"] = np.array([self.paths[i].times[1] for i in two])
-        else:
-            g["two_w0"] = g["two_w1"] = np.zeros((0, 2))
-            g["two_t0"] = g["two_t1"] = np.zeros(0)
-        return g
+        hits = np.bincount(rank * n + self._robot, minlength=(len(ts) + 1) * n)
+        rows = hits.reshape(-1, n)[:-1].cumsum(axis=0)
+        rows += self.offsets[:-1] - 1
+        return np.take(rows, np.argsort(order), axis=0)
+
+    def _blend(self, t: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """``(1 - a) * xy[j] + a * xy[j+1]``, ``a`` clipped, on the segment at ``j``."""
+        first, last = self.offsets[:-1], self.offsets[1:] - 1
+        j = np.clip(j, first, np.maximum(first, last - 1))
+        nxt = np.minimum(j + 1, last)
+        t0 = self.times[j]
+        dt = self.times[nxt] - t0
+        pos = dt > 0
+        alpha = np.where(pos, (t - t0) / np.where(pos, dt, 1.0), (t > t0).astype(float))
+        alpha = np.clip(alpha, 0.0, 1.0)[..., None]
+        # np.take gathers whole rows far faster than fancy indexing.
+        out = np.take(self.xy, nxt, axis=0)
+        out *= alpha
+        out += (1.0 - alpha) * np.take(self.xy, j, axis=0)
+        return out
+
+    def _position_at(self, t: np.ndarray) -> np.ndarray:
+        """Position of robot ``i`` at ``t[i]``: the blend, clamped to the ends."""
+        first, last = self.offsets[:-1], self.offsets[1:] - 1
+        r = self._robot
+        below = np.bincount(r[self.times <= t[r]], minlength=self.robot_count)
+        out = self._blend(t, first - 1 + below)
+        at_end = t >= self.times[last]
+        out[at_end] = self.xy[last[at_end]]
+        at_start = t <= self.times[first]
+        out[at_start] = self.xy[first[at_start]]
+        return out
 
     def positions_at(self, t: float) -> np.ndarray:
-        """All robot positions at time ``t`` as an ``(n, 2)`` array."""
-        g = self._vector_groups
-        out = np.empty((len(self.paths), 2))
-        if len(g["single_idx"]):
-            out[g["single_idx"]] = g["single_w"]
-        if len(g["two_idx"]):
-            t0, t1 = g["two_t0"], g["two_t1"]
-            w0, w1 = g["two_w0"], g["two_w1"]
-            alpha = (t - t0) / (t1 - t0)
-            vals = (1.0 - alpha)[:, None] * w0 + alpha[:, None] * w1
-            vals = np.where((t <= t0)[:, None], w0, vals)
-            vals = np.where((t >= t1)[:, None], w1, vals)
-            out[g["two_idx"]] = vals
-        for i in g["other_idx"]:
-            out[i] = self.paths[i].position_at(t)
-        return out
+        """All robot positions at time ``t`` as an ``(n, 2)`` array.
+
+        The pinned crash and mission documents use this blend, which can
+        differ from ``positions_over([t])[0]`` in the last bit.
+        """
+        return self._position_at(np.full(self.robot_count, float(t)))
 
     @property
     def start_positions(self) -> np.ndarray:
@@ -290,18 +218,30 @@ class SwarmTrajectory:
 
     def path_lengths(self) -> np.ndarray:
         """Per-robot travelled distance ``d_i``."""
-        g = self._vector_groups
-        out = np.zeros(len(self.paths))
-        if len(g["two_idx"]):
-            seg = g["two_w1"] - g["two_w0"]
-            out[g["two_idx"]] = np.hypot(seg[:, 0], seg[:, 1])
-        for i in g["other_idx"]:
-            out[i] = self.paths[i].length
-        return out
+        return _polyline_lengths(self.offsets, self.xy)
 
-    def distances_between(self, t0: float, t1: float) -> np.ndarray:
-        """Per-robot distance travelled over the window ``[t0, t1]``."""
-        return np.array([p.length_between(t0, t1) for p in self.paths])
+    def distances_between(self, t0: float, t1) -> np.ndarray:
+        """Per-robot distance travelled over the window ``[t0, t1]``.
+
+        ``t1`` is one instant or a per-robot ``(n,)`` array.  Exact for
+        the piecewise-linear motion model: each robot's polyline through
+        its position at ``t0``, every waypoint strictly inside the
+        window and its position at ``t1``; zero when ``t1 <= t0``.
+        """
+        n = self.robot_count
+        t1 = np.broadcast_to(np.asarray(t1, dtype=float), (n,))
+        r = self._robot
+        inside = (self.times > t0) & (self.times < t1[r])
+        ri = r[inside]
+        count = np.bincount(ri, minlength=n)
+        offsets = np.concatenate([[0], np.cumsum(count + 2)])
+        pts = np.empty((offsets[-1], 2))
+        pts[offsets[:-1]] = self._position_at(np.full(n, float(t0)))
+        pts[offsets[1:] - 1] = self._position_at(t1)
+        # Robot i's inside rows, in order, right after its t0 point.
+        earlier = np.cumsum(count) - count
+        pts[offsets[ri] + 1 + np.arange(len(ri)) - earlier[ri]] = self.xy[inside]
+        return np.where(t1 > t0, _polyline_lengths(offsets, pts), 0.0)
 
     def total_distance(self) -> float:
         """The paper's ``D = sum_i d_i``."""
@@ -309,11 +249,7 @@ class SwarmTrajectory:
 
     def critical_times(self) -> np.ndarray:
         """Sorted union of every waypoint time (plus the interval ends)."""
-        arr = np.unique(
-            np.concatenate(
-                [[self.t_start, self.t_end], *[p.times for p in self.paths]]
-            )
-        )
+        arr = np.unique(np.concatenate([[self.t_start, self.t_end], self.times]))
         return arr[(arr >= self.t_start - 1e-9) & (arr <= self.t_end + 1e-9)]
 
     def sample_times(self, resolution: int = 32) -> np.ndarray:
@@ -323,78 +259,119 @@ class SwarmTrajectory:
         return merged
 
     def discontinuity_times(self) -> np.ndarray:
-        """Union of every path's jump times, clipped to the interval."""
-        g = self._vector_groups
-        parts = [self.paths[i].discontinuity_times() for i in g["other_idx"]]
-        if len(g["two_idx"]):
-            # A two-waypoint path jumps when its time stamps (nearly)
-            # coincide but its endpoints differ - same predicate as
-            # :meth:`TimedPath.discontinuity_times`.
-            dt = g["two_t1"] - g["two_t0"]
-            seg = g["two_w1"] - g["two_w0"]
-            jump = (dt <= 1e-12) & (np.hypot(seg[:, 0], seg[:, 1]) > 0.0)
-            parts.append(g["two_t1"][jump])
-        flat = np.concatenate(parts) if parts else np.empty(0, dtype=float)
-        if len(flat) == 0:
-            return np.empty(0, dtype=float)
-        arr = np.unique(flat)
+        """Times where some robot's position jumps, clipped to the interval.
+
+        A jump is two consecutive waypoints of one robot whose time
+        stamps (nearly) coincide but whose positions differ: an
+        instantaneous position change.  Interval sampling is blind to
+        the pre-jump position at such a time, so evaluators must check
+        both one-sided limits there.
+        """
+        same_t = np.abs(np.diff(self.times)) <= 1e-12
+        moved = _segment_lengths(self.xy) > 0.0
+        arr = np.unique(self.times[1:][self._same_robot & same_t & moved])
         return arr[(arr >= self.t_start - 1e-9) & (arr <= self.t_end + 1e-9)]
 
     def positions_over(self, times, side: str = "right") -> np.ndarray:
         """Positions for every robot at every time: shape ``(k, n, 2)``.
 
-        ``side`` selects the one-sided limit taken at discontinuities
-        (see :meth:`TimedPath.positions_at_many`).  Stationary and
-        single-segment paths - the vast majority of planner output -
-        are sampled for the whole swarm at once; the results are
-        bitwise-identical to stacking per-path samples.
+        ``side`` selects the one-sided limit taken at a discontinuity:
+        ``"right"`` (default) returns the post-jump position,
+        ``"left"`` the position approached from earlier times.  At
+        continuous instants both sides agree.
         """
         if side not in ("right", "left"):
             raise PlanningError(f"side must be 'left' or 'right', got {side!r}")
         ts = np.asarray(times, dtype=float)
-        g = self._vector_groups
-        out = np.empty((len(ts), len(self.paths), 2))
-        if len(g["single_idx"]):
-            out[:, g["single_idx"], :] = g["single_w"][None, :, :]
-        if len(g["two_idx"]):
-            t0, t1 = g["two_t0"], g["two_t1"]
-            w0, w1 = g["two_w0"], g["two_w1"]
-            if side == "right":
-                # np.interp's exact branches: at-or-before the segment
-                # start and at-or-after its end return the endpoint
-                # value; strictly inside uses the slope formula.
-                slope = (w1 - w0) / (t1 - t0)[:, None]
-                vals = (
-                    slope[None, :, :] * (ts[:, None] - t0[None, :])[:, :, None]
-                    + w0[None, :, :]
-                )
-                vals = np.where(
-                    (ts[:, None] <= t0[None, :])[:, :, None], w0[None, :, :], vals
-                )
-                vals = np.where(
-                    (ts[:, None] >= t1[None, :])[:, :, None], w1[None, :, :], vals
-                )
-            else:
-                # The clipped-alpha formula alone is the scalar "left"
-                # path; clamping already covers the out-of-span cases.
-                alpha = np.clip(
-                    (ts[:, None] - t0[None, :]) / (t1 - t0)[None, :], 0.0, 1.0
-                )[:, :, None]
-                vals = (1.0 - alpha) * w0[None, :, :] + alpha * w1[None, :, :]
-            out[:, g["two_idx"], :] = vals
-        for i in g["other_idx"]:
-            out[:, i, :] = self.paths[i].positions_at_many(ts, side=side)
+        j = self._rows(ts, side)
+        t = ts[:, None]
+        if side == "left":
+            return self._blend(t, j)
+        first, last = self.offsets[:-1], self.offsets[1:] - 1
+        exact = j < first  # before the first waypoint: the first
+        np.maximum(j, first, out=j)
+        tj = self.times[j]
+        exact |= (tj == t) | (j == last)
+        xj = np.take(self.xy, j, axis=0)
+        out = np.take(self._slopes, j, axis=0)
+        out *= (t - tj)[..., None]
+        out += xj
+        out[exact] = xj[exact]
         return out
 
-    def snapshots(self, resolution: int = 32) -> Iterable[np.ndarray]:
-        """Position arrays at :meth:`sample_times` in time order."""
-        table = self.positions_over(self.sample_times(resolution))
-        for k in range(table.shape[0]):
-            yield table[k]
-
     def then(self, other: "SwarmTrajectory") -> "SwarmTrajectory":
-        """Concatenate two trajectories robot-by-robot."""
-        if other.robot_count != self.robot_count:
+        """Concatenate two trajectories robot-by-robot.
+
+        Each robot's second-leg rows follow its first-leg rows, minus
+        the second leg's first waypoint (the junction).  A robot whose
+        first leg is one waypoint therefore heads for its second leg's
+        next waypoint from the first leg's start time on.
+
+        Raises
+        ------
+        PlanningError
+            If the robot counts differ, or some robot's junction points
+            or time stamps do not line up.
+        """
+        n = self.robot_count
+        if other.robot_count != n:
             raise PlanningError("trajectories have different robot counts")
-        joined = [a.then(b) for a, b in zip(self.paths, other.paths)]
-        return SwarmTrajectory(joined, self.t_start, other.t_end)
+        ends, starts = self.offsets[1:] - 1, other.offsets[:-1]
+        if not np.allclose(self.xy[ends], other.xy[starts], atol=1e-6):
+            raise PlanningError("paths do not share a junction point")
+        if np.any(other.times[starts] < self.times[ends] - 1e-9):
+            raise PlanningError("second path starts before the first ends")
+        keep = np.ones(len(other.times), dtype=bool)
+        keep[starts] = False
+        r1, r2 = self._robot, other._robot[keep]
+        dest1 = np.arange(len(self.times)) + other.offsets[r1] - r1
+        dest2 = np.flatnonzero(keep) + self.offsets[r2 + 1] - r2 - 1
+        size = len(self.times) + len(r2)
+        times, xy = np.empty(size), np.empty((size, 2))
+        times[dest1], times[dest2] = self.times, other.times[keep]
+        xy[dest1], xy[dest2] = self.xy, other.xy[keep]
+        offsets = self.offsets + other.offsets - np.arange(n + 1)
+        return SwarmTrajectory(offsets, times, xy, self.t_start, other.t_end)
+
+
+def _ragged(offsets, xy) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce and check a ragged layout: >= 1 robot, >= 1 row each."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    xy = as_points(xy)
+    if offsets.ndim != 1 or len(offsets) < 2:
+        raise PlanningError("a swarm trajectory needs at least one path")
+    if np.any(np.diff(offsets) < 1):
+        raise PlanningError("a path needs at least one waypoint")
+    if offsets[0] != 0 or offsets[-1] != len(xy):
+        raise PlanningError("offsets must run from 0 to the waypoint count")
+    return offsets, xy
+
+
+def _segment_lengths(xy: np.ndarray) -> np.ndarray:
+    """``hypot`` of every consecutive row pair, robot boundaries included."""
+    d = np.diff(xy, axis=0)
+    return np.hypot(d[:, 0], d[:, 1])
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray):
+    """Index blocks for per-robot reductions, robots batched by run length.
+
+    Yields ``(robots, rows)``: ``rows`` is a ``(g, L)`` index array, one
+    row ``starts[i] + arange(L)`` per robot ``i`` whose run has ``L > 0``
+    values.  Reducing ``values[rows]`` along axis 1 gives each robot
+    numpy's order for a lone 1-D run (pairwise ``sum``, sequential
+    ``cumsum``), so results equal per-robot calls bitwise;
+    ``np.add.reduceat`` does not.
+    """
+    for length in np.unique(counts[counts > 0]):
+        robots = np.flatnonzero(counts == length)
+        yield robots, starts[robots, None] + np.arange(length)
+
+
+def _polyline_lengths(offsets: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """Length of every robot's open polyline, each summed like ``polyline_length``."""
+    seg = _segment_lengths(xy)
+    out = np.zeros(len(offsets) - 1)
+    for robots, rows in _runs(offsets[:-1], np.diff(offsets) - 1):
+        out[robots] = seg[rows].sum(axis=1)
+    return out

@@ -19,7 +19,7 @@ from repro.foi.detour import path_blocked_by_holes  # noqa: F401
 from repro.foi.region import FieldOfInterest
 from repro.geometry.vec import as_points
 from repro.obs import span
-from repro.robots.motion import SwarmTrajectory, TimedPath
+from repro.robots.motion import SwarmTrajectory
 
 __all__ = [
     "straight_transition",
@@ -38,11 +38,12 @@ def straight_transition(
     q = as_points(targets)
     if len(p) != len(q):
         raise PlanningError("start/target count mismatch")
-    paths = [
-        TimedPath.constant_speed(np.vstack([a, b]), t_start, t_end)
-        for a, b in zip(p, q)
-    ]
-    return SwarmTrajectory(paths, t_start, t_end)
+    return SwarmTrajectory.constant_speed(
+        np.arange(0, 2 * len(p) + 1, 2),
+        np.stack([p, q], axis=1).reshape(-1, 2),
+        t_start,
+        t_end,
+    )
 
 
 def detoured_transition(
@@ -85,21 +86,28 @@ def detoured_transition(
     if not holes:
         return straight_transition(p, q, t_start, t_end)
     margin = 1e-3 * max(1.0, float(np.sqrt(max(areas))))
-    waypoints = [np.vstack([a, b]) for a, b in zip(p, q)]
+    detours = []
     with span("march.detour") as sp_:
         blocked = np.flatnonzero(paths_blocked_by_holes(holes, p, q) >= 0)
         repairs = 0
         for i in blocked.tolist():
             try:
-                waypoints[i], n = detour_path_holes(
+                w, n = detour_path_holes(
                     holes, p[i], q[i], margin=margin, return_repairs=True
                 )
             except GeometryError as exc:
                 raise GeometryError(f"march detour of robot {i}: {exc}") from exc
+            detours.append(w)
             repairs += n
         sp_.set_attributes(blocked=len(blocked), repairs=repairs)
-    paths = [TimedPath.constant_speed(w, t_start, t_end) for w in waypoints]
-    return SwarmTrajectory(paths, t_start, t_end)
+    counts = np.full(len(p), 2)
+    counts[blocked] = [len(w) for w in detours]
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    xy = np.empty((offsets[-1], 2))
+    xy[offsets[:-1]], xy[offsets[1:] - 1] = p, q
+    for i, w in zip(blocked.tolist(), detours):
+        xy[offsets[i]:offsets[i + 1]] = w
+    return SwarmTrajectory.constant_speed(offsets, xy, t_start, t_end)
 
 
 def stepwise_trajectory(
@@ -122,15 +130,12 @@ def stepwise_trajectory(
     n = len(steps[0])
     if any(len(s) != n for s in steps):
         raise PlanningError("snapshots have inconsistent robot counts")
-    if len(steps) == 1:
-        times = [t_start]
-    else:
-        times = np.linspace(t_start, t_end, len(steps))
-    paths = []
-    for i in range(n):
-        waypoints = np.array([s[i] for s in steps])
-        if len(steps) == 1:
-            paths.append(TimedPath(waypoints[:1], [t_start]))
-        else:
-            paths.append(TimedPath(waypoints, times))
-    return SwarmTrajectory(paths, t_start, t_end)
+    k = len(steps)
+    times = [t_start] if k == 1 else np.linspace(t_start, t_end, k)
+    return SwarmTrajectory(
+        np.arange(0, k * n + 1, k),
+        np.tile(times, n),
+        np.stack(steps, axis=1).reshape(-1, 2),
+        t_start,
+        t_end,
+    )

@@ -19,7 +19,7 @@ from repro.marching import (
 from repro.marching.replan import _remap_event_time
 from repro.metrics import connectivity_report
 from repro.robots import RadioSpec, Swarm
-from repro.robots.motion import SwarmTrajectory, TimedPath
+from repro.robots import stepwise_trajectory
 
 FAST = MarchingConfig(
     foi_target_points=150,
@@ -230,11 +230,7 @@ class TestEdgeWindows:
         # remaining window is zero-length from the start.
         frozen = dataclasses.replace(
             original,
-            trajectory=SwarmTrajectory(
-                [TimedPath.stationary(p, 0.0) for p in original.final_positions],
-                0.0,
-                0.0,
-            ),
+            trajectory=stepwise_trajectory([original.final_positions], 0.0, 0.0),
         )
         outcome = replan_after_failure(
             frozen,

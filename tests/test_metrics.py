@@ -13,7 +13,7 @@ from repro.metrics import (
     total_moving_distance,
 )
 from repro.network import LinkTable
-from repro.robots import straight_transition, SwarmTrajectory, TimedPath
+from repro.robots import straight_transition, SwarmTrajectory
 
 
 def chain_positions(n=4, spacing=1.0):
@@ -75,11 +75,9 @@ class TestStableLinks:
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
         links = LinkTable.from_positions(pos, 1.5)
         # Robot 1 loops far away and comes back via a two-leg path.
-        paths = [
-            TimedPath.constant_speed([[0, 0], [0, 0]], 0.0, 1.0),
-            TimedPath.constant_speed([[1, 0], [50, 0], [1, 0]], 0.0, 1.0),
-        ]
-        traj = SwarmTrajectory(paths, 0.0, 1.0)
+        traj = SwarmTrajectory.constant_speed(
+            [0, 2, 5], [[0, 0], [0, 0], [1, 0], [50, 0], [1, 0]], 0.0, 1.0
+        )
         assert stable_link_ratio(links, traj) == 0.0
 
     def test_no_links_is_ratio_one(self):
@@ -100,11 +98,10 @@ class TestStableLinkSamplingExactness:
         # merged into the evaluation times for the break to be seen.
         pos = np.array([[0.0, 0.0], [5.0, 0.0]])
         links = LinkTable.from_positions(pos, 51.0)
-        paths = [
-            TimedPath.stationary([0.0, 0.0], 0.0),
-            TimedPath([[5, 0], [52, 0], [5, 0]], [0.0, 0.4, 1.0]),
-        ]
-        traj = SwarmTrajectory(paths, 0.0, 1.0)
+        traj = SwarmTrajectory(
+            [0, 1, 4], [0.0, 0.0, 0.4, 1.0], [[0, 0], [5, 0], [52, 0], [5, 0]],
+            0.0, 1.0,
+        )
         rep = stable_link_report(links, traj, resolution=32)
         assert rep.initial_links == 1
         assert rep.stable_links == 0
@@ -118,42 +115,49 @@ class TestStableLinkSamplingExactness:
         # the jump reveals the break at comm range 49.
         pos = np.array([[0.0, 0.0], [5.0, 0.0]])
         links = LinkTable.from_positions(pos, 49.0)
-        paths = [
-            TimedPath.stationary([0.0, 0.0], 0.0),
-            TimedPath(
-                [[5, 0], [50, 0], [14, 0], [5, 0]],
-                [0.0, 0.5, 0.5, 1.0],
-            ),
-        ]
-        traj = SwarmTrajectory(paths, 0.0, 1.0)
+        traj = SwarmTrajectory(
+            [0, 1, 5],
+            [0.0, 0.0, 0.5, 0.5, 1.0],
+            [[0, 0], [5, 0], [50, 0], [14, 0], [5, 0]],
+            0.0,
+            1.0,
+        )
         rep = stable_link_report(links, traj, resolution=32)
         assert rep.stable_links == 0
         assert rep.ratio == 0.0
 
     def test_left_and_right_limits(self):
-        path = TimedPath([[0, 0], [10, 0], [2, 0]], [0.0, 0.5, 0.5])
-        assert np.allclose(
-            path.positions_at_many([0.5], side="left")[0], [10, 0]
-        )
-        assert np.allclose(
-            path.positions_at_many([0.5], side="right")[0], [2, 0]
-        )
+        path = SwarmTrajectory([0, 3], [0.0, 0.5, 0.5], [[0, 0], [10, 0], [2, 0]], 0.0, 0.5)
+        assert np.allclose(path.positions_over([0.5], side="left")[0], [[10, 0]])
+        assert np.allclose(path.positions_over([0.5], side="right")[0], [[2, 0]])
+        # The point query takes the post-jump side too.
+        assert np.allclose(path.positions_at(0.5), [[2, 0]])
         # Continuous instants agree on both sides.
         assert np.allclose(
-            path.positions_at_many([0.25, 0.75], side="left"),
-            path.positions_at_many([0.25, 0.75], side="right"),
+            path.positions_over([0.25, 0.75], side="left"),
+            path.positions_over([0.25, 0.75], side="right"),
         )
 
     def test_discontinuity_times(self):
-        cont = TimedPath.constant_speed([[0, 0], [1, 0]], 0.0, 1.0)
+        def one(xy, times):
+            return SwarmTrajectory([0, len(xy)], times, xy, 0.0, 1.0)
+
+        cont = SwarmTrajectory.constant_speed([0, 2], [[0, 0], [1, 0]], 0.0, 1.0)
         assert len(cont.discontinuity_times()) == 0
         # A duplicated time with identical positions is not a jump.
-        still = TimedPath([[0, 0], [5, 0], [5, 0], [9, 0]], [0, 0.5, 0.5, 1])
+        still = one([[0, 0], [5, 0], [5, 0], [9, 0]], [0, 0.5, 0.5, 1])
         assert len(still.discontinuity_times()) == 0
-        jump = TimedPath([[0, 0], [5, 0], [7, 0]], [0, 0.5, 0.5])
+        jump = one([[0, 0], [5, 0], [7, 0]], [0, 0.5, 0.5])
         assert np.allclose(jump.discontinuity_times(), [0.5])
+        # Consecutive rows of two different robots never form a jump.
         traj = SwarmTrajectory(
-            [TimedPath.stationary([0, 0], 0.0), jump], 0.0, 0.5
+            [0, 1, 4], [0.5, 0.5, 0.5, 0.5], [[0, 0], [5, 0], [5, 0], [5, 0]],
+            0.0, 0.5,
+        )
+        assert len(traj.discontinuity_times()) == 0
+        traj = SwarmTrajectory(
+            [0, 1, 4], [0.0, 0.0, 0.5, 0.5], [[0, 0], [0, 0], [5, 0], [7, 0]],
+            0.0, 0.5,
         )
         assert np.allclose(traj.discontinuity_times(), [0.5])
 

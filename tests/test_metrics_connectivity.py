@@ -1,8 +1,8 @@
 """The one Definition-2 evaluator: ``repro.metrics.connectivity``.
 
 ``isolated_counts`` is checked against a straightforward per-instant
-oracle kept here - on hypothesis trajectories at several witness block
-sizes and on a real plan that breaks C - the left-limit and
+oracle kept here - on hypothesis trajectories at several witness and
+position block sizes and on a real plan that breaks C - the left-limit and
 empty-anchor rules are pinned on small hand-built trajectories, and a
 source scan keeps every caller of the reachability flood inside the
 evaluator.
@@ -22,7 +22,7 @@ from repro.experiments.zoo.campaign import ZooConfig, build_zoo_scenario
 from repro.marching import MarchingPlanner
 from repro.metrics import connectivity, connectivity_report, isolated_counts
 from repro.network import LinkTable
-from repro.robots import SwarmTrajectory, TimedPath, straight_transition
+from repro.robots import SwarmTrajectory, straight_transition
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -76,12 +76,13 @@ def jump_pair():
     Every right-sided sample sees the pair within range 1.5; only the
     left-sided limit at the jump has robot 1 at distance 5.
     """
-    still = TimedPath.stationary([0.0, 0.0], 0.0)
-    jumper = TimedPath(
-        [[1.0, 0.0], [1.0, 0.0], [5.0, 0.0], [1.0, 0.0], [1.0, 0.0]],
-        [0.0, 0.49, 0.5, 0.5, 1.0],
+    return SwarmTrajectory(
+        [0, 1, 6],
+        [0.0, 0.0, 0.49, 0.5, 0.5, 1.0],
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [5.0, 0.0], [1.0, 0.0], [1.0, 0.0]],
+        0.0,
+        1.0,
     )
-    return SwarmTrajectory([still, jumper], 0.0, 1.0)
 
 
 class TestLeftLimits:
@@ -176,9 +177,9 @@ def trajectories(draw):
                               min_size=k - 1, max_size=k - 1))
         times = np.concatenate([[0.0], np.cumsum(steps)])
         points = [[draw(coord), draw(coord)] for _ in range(k)]
-        paths.append(TimedPath(points, times))
-    t_end = max(1.0, max(float(p.times[-1]) for p in paths))
-    return SwarmTrajectory(paths, 0.0, t_end)
+        paths.append((points, times))
+    t_end = max(1.0, max(float(times[-1]) for _, times in paths))
+    return SwarmTrajectory.from_paths(paths, 0.0, t_end)
 
 
 def evaluator_span(tracer):
@@ -201,10 +202,12 @@ class TestAgainstOracle:
         resolution=st.integers(2, 64),
         reverse=st.booleans(),
         block=st.sampled_from([1, 3, connectivity._WITNESS_BLOCK]),
+        # Position blocks that end inside a witness block, and the default.
+        fetch=st.sampled_from([1, 5, connectivity._POSITION_BLOCK]),
     )
     @settings(max_examples=150, deadline=None)
     def test_counts_match_oracle(self, traj, comm_range, anchor_bits, side,
-                                 crashes, resolution, reverse, block):
+                                 crashes, resolution, reverse, block, fetch):
         n = traj.robot_count
         anchors = [j for j in range(n) if anchor_bits >> j & 1]
         alive_until = np.array(crashes[:n])
@@ -216,6 +219,7 @@ class TestAgainstOracle:
             for anc in (None, anchors):
                 tracer = obs.Tracer()
                 with mock.patch.object(connectivity, "_WITNESS_BLOCK", block), \
+                        mock.patch.object(connectivity, "_POSITION_BLOCK", fetch), \
                         obs.activate(tracer):
                     got = isolated_counts(traj, comm_range, anc, times,
                                           side=side, alive_until=until)
@@ -318,10 +322,26 @@ class TestRealPlan:
         times = traj.sample_times(128)
         want = oracle_counts(traj, comm_range, anchors, times)
         assert max(want) > 0
-        for block in (1, 3, connectivity._WITNESS_BLOCK):
-            with mock.patch.object(connectivity, "_WITNESS_BLOCK", block):
+        for block, fetch in ((1, 1), (3, 5), (connectivity._WITNESS_BLOCK,
+                                               connectivity._POSITION_BLOCK)):
+            with mock.patch.object(connectivity, "_WITNESS_BLOCK", block), \
+                    mock.patch.object(connectivity, "_POSITION_BLOCK", fetch):
                 got = isolated_counts(traj, comm_range, anchors, times)
             assert got.tolist() == want
+
+    def test_position_blocks_change_no_work(self, plan):
+        """A witness held across a position-block edge stays held: the
+        same instants get a full graph whatever the block size."""
+        traj, comm_range = plan.trajectory, plan.links.comm_range
+        attrs = []
+        for fetch in (5, connectivity._POSITION_BLOCK):
+            tracer = obs.Tracer()
+            with mock.patch.object(connectivity, "_POSITION_BLOCK", fetch), \
+                    obs.activate(tracer):
+                isolated_counts(traj, comm_range, None, traj.sample_times(128))
+            attrs.append(evaluator_span(tracer))
+        assert attrs[0] == attrs[1]
+        assert attrs[0]["certified"] > 0
 
 
 def test_reachability_flood_is_called_only_by_the_evaluator():

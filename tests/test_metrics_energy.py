@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.metrics import EnergyModel, link_churn, transition_energy
-from repro.robots import SwarmTrajectory, TimedPath, straight_transition
+from repro.robots import SwarmTrajectory, straight_transition
 
 
 def chain(n, spacing=1.0):
@@ -42,11 +42,9 @@ class TestLinkChurn:
 
     def test_re_pairing_counted_twice(self):
         """Break + re-pair = one breaking and one pairing event."""
-        paths = [
-            TimedPath.constant_speed([[0, 0], [0, 0]], 0.0, 1.0),
-            TimedPath.constant_speed([[1, 0], [50, 0], [1, 0]], 0.0, 1.0),
-        ]
-        traj = SwarmTrajectory(paths, 0.0, 1.0)
+        traj = SwarmTrajectory.constant_speed(
+            [0, 2, 5], [[0, 0], [0, 0], [1, 0], [50, 0], [1, 0]], 0.0, 1.0
+        )
         report = link_churn(traj, 1.5)
         assert report.breaking_events == 1
         assert report.pairing_events == 1
@@ -64,11 +62,9 @@ class TestLinkChurn:
         assert report.new_pairings_required == 0
 
     def test_re_paired_link_counts_as_new(self):
-        paths = [
-            TimedPath.constant_speed([[0, 0], [0, 0]], 0.0, 1.0),
-            TimedPath.constant_speed([[1, 0], [50, 0], [1, 0]], 0.0, 1.0),
-        ]
-        traj = SwarmTrajectory(paths, 0.0, 1.0)
+        traj = SwarmTrajectory.constant_speed(
+            [0, 2, 5], [[0, 0], [0, 0], [1, 0], [50, 0], [1, 0]], 0.0, 1.0
+        )
         report = link_churn(traj, 1.5)
         # The pair ends connected but was not maintained: one re-pairing.
         assert report.new_pairings_required == 1

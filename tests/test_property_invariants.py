@@ -16,7 +16,7 @@ from repro.foi import FieldOfInterest, ellipse_polygon
 from repro.geometry import Polygon, convex_hull, signed_area
 from repro.mesh import delaunay_mesh
 from repro.network import LinkTable
-from repro.robots import TimedPath, straight_transition
+from repro.robots import SwarmTrajectory, straight_transition
 
 coord = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 point = st.tuples(coord, coord)
@@ -62,26 +62,32 @@ class TestDelaunayInvariants:
         assert hull_set <= boundary_set
 
 
+def _one_robot(wps, t_start, t_end):
+    return SwarmTrajectory.constant_speed([0, len(wps)], wps, t_start, t_end)
+
+
 class TestTimedPathInvariants:
     @given(st.lists(point, min_size=2, max_size=8))
     @settings(max_examples=100)
     def test_positions_within_waypoint_bbox(self, wps):
-        path = TimedPath.constant_speed(np.asarray(wps, float), 0.0, 1.0)
+        path = _one_robot(np.asarray(wps, float), 0.0, 1.0)
         arr = np.asarray(wps, dtype=float)
         lo = arr.min(axis=0) - 1e-9
         hi = arr.max(axis=0) + 1e-9
         for t in np.linspace(-0.2, 1.2, 13):
-            p = path.position_at(t)
-            assert (p >= lo).all() and (p <= hi).all()
+            for p in (path.positions_at(t)[0], path.positions_over([t])[0, 0]):
+                assert (p >= lo).all() and (p <= hi).all()
 
     @given(st.lists(point, min_size=2, max_size=5), st.lists(point, min_size=1, max_size=5))
     @settings(max_examples=100)
     def test_then_length_additive(self, first, second):
-        a = TimedPath.constant_speed(np.asarray(first, float), 0.0, 0.5)
-        tail = np.vstack([a.end, np.asarray(second, float)])
-        b = TimedPath.constant_speed(tail, 0.5, 1.0)
+        a = _one_robot(np.asarray(first, float), 0.0, 0.5)
+        tail = np.vstack([a.end_positions, np.asarray(second, float)])
+        b = _one_robot(tail, 0.5, 1.0)
         joined = a.then(b)
-        assert joined.length == pytest.approx(a.length + b.length, abs=1e-6)
+        assert joined.total_distance() == pytest.approx(
+            a.total_distance() + b.total_distance(), abs=1e-6
+        )
 
 
 class TestLinkTableInvariants:
@@ -108,7 +114,7 @@ class TestLinkTableInvariants:
         pos = rng.uniform(0, 5, (n, 2))
         table = LinkTable.from_positions(pos, 2.0)
         traj = straight_transition(pos, pos + rng.normal(0, 1, (n, 2)))
-        ratio = table.stable_link_ratio_over(traj.snapshots(8))
+        ratio = table.stable_link_ratio_over(traj.positions_over(traj.sample_times(8)))
         assert 0.0 <= ratio <= 1.0
 
 

@@ -37,15 +37,15 @@ class TestStraightTransition:
 class TestDetouredTransition:
     def test_no_holes_degrades_to_straight(self, square_foi):
         traj = detoured_transition([[1, 1]], [[50, 50]], square_foi)
-        assert len(traj.paths[0].waypoints) == 2
+        assert len(traj.path(0)[0]) == 2
 
     def test_blocked_path_gets_waypoints(self, hole_foi):
         traj = detoured_transition([[2, 10]], [[18, 10]], hole_foi)
-        assert len(traj.paths[0].waypoints) > 2
+        assert len(traj.path(0)[0]) > 2
 
     def test_detoured_path_is_clear(self, hole_foi):
         traj = detoured_transition([[2, 10]], [[18, 10]], hole_foi)
-        wps = traj.paths[0].waypoints
+        wps = traj.path(0)[0]
         for a, b in zip(wps, wps[1:]):
             assert path_blocked_by_hole(hole_foi, a, b) is None
 
@@ -53,7 +53,7 @@ class TestDetouredTransition:
         traj = detoured_transition(
             [[2, 10], [2, 2]], [[18, 10], [18, 2]], hole_foi
         )
-        assert len(traj.paths[1].waypoints) == 2
+        assert len(traj.path(1)[0]) == 2
 
     def test_none_foi(self):
         traj = detoured_transition([[0, 0]], [[5, 5]], None)
@@ -66,7 +66,7 @@ class TestDetouredTransition:
         traj = detoured_transition(
             [[2.0, 10.0]], [[40.0, 10.0]], target, source_foi=hole_foi
         )
-        wps = traj.paths[0].waypoints
+        wps = traj.path(0)[0]
         assert len(wps) > 2
         for a, b in zip(wps, wps[1:]):
             assert path_blocked_by_hole(hole_foi, a, b) is None
@@ -79,7 +79,7 @@ class TestDetouredTransition:
         traj = detoured_transition(
             [[2.0, 10.0]], [[48.0, 10.0]], target, source_foi=hole_foi
         )
-        wps = traj.paths[0].waypoints
+        wps = traj.path(0)[0]
         for a, b in zip(wps, wps[1:]):
             assert path_blocked_by_hole(hole_foi, a, b) is None
             assert path_blocked_by_hole(target, a, b) is None

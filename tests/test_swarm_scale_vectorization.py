@@ -36,7 +36,12 @@ from repro.experiments.scaling import (
 )
 from repro.geometry import TriangleLocator, barycentric_coords_paired
 from repro.geometry.barycentric import barycentric_coords_many
-from repro.geometry.vec import _nearest_index_dense, as_points, nearest_index
+from repro.geometry.vec import (
+    _nearest_index_dense,
+    as_points,
+    nearest_index,
+    polyline_length,
+)
 from repro.harmonic import (
     clear_factorization_cache,
     compute_disk_map,
@@ -48,7 +53,8 @@ from repro.mesh.delaunay import delaunay_mesh
 from repro.network import UnitDiskGraph, udg_edges
 from repro.network.udg import _udg_edges_bruteforce
 from repro.obs import Metrics, activate_metrics
-from repro.robots.motion import SwarmTrajectory, TimedPath
+from repro.robots.motion import SwarmTrajectory
+from tests import trajectory_oracle as oracle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -284,66 +290,64 @@ class TestBatchInducedMap:
 
 
 class TestVectorizedTrajectorySampling:
+    """Trajectory queries equal the per-robot oracle in ``trajectory_oracle``."""
+
     @pytest.fixture
     def mixed_trajectory(self):
         rng = np.random.default_rng(23)
         T = 10.0
-        paths = [TimedPath.stationary(rng.uniform(0, 5, 2), 0.0)]
+        paths = [(rng.uniform(0, 5, (1, 2)), [0.0])]
         for _ in range(6):
-            paths.append(TimedPath(rng.uniform(0, 5, (2, 2)), [0.0, T]))
+            paths.append((rng.uniform(0, 5, (2, 2)), [0.0, T]))
         t_jump = 4.0
-        paths.append(TimedPath(rng.uniform(0, 5, (2, 2)), [t_jump, t_jump]))
+        paths.append((rng.uniform(0, 5, (2, 2)), [t_jump, t_jump]))
         times = np.sort(rng.uniform(0, T, 4))
-        paths.append(TimedPath(rng.uniform(0, 5, (4, 2)), times))
-        return SwarmTrajectory(paths, 0.0, T)
+        paths.append((rng.uniform(0, 5, (4, 2)), times))
+        return SwarmTrajectory.from_paths(paths, 0.0, T)
 
     def test_positions_over_matches_per_path(self, mixed_trajectory):
         traj = mixed_trajectory
-        ts = np.concatenate([
-            np.linspace(-1, 11, 25),
-            np.concatenate([p.times for p in traj.paths]),
-        ])
-        for side in ("right", "left"):
+        ts = np.concatenate([np.linspace(-1, 11, 25), traj.times])
+        for side, rule in (("right", oracle.right), ("left", oracle.left)):
             got = traj.positions_over(ts, side=side)
             want = np.stack(
-                [p.positions_at_many(ts, side=side) for p in traj.paths],
-                axis=1,
+                [rule(xy, times, ts) for xy, times in oracle.paths(traj)], axis=1
             )
             assert np.array_equal(got, want)
 
     def test_positions_at_matches_per_path(self, mixed_trajectory):
         traj = mixed_trajectory
         for t in [-1.0, 0.0, 3.3, 4.0, 10.0, 12.0]:
-            want = np.array([p.position_at(t) for p in traj.paths])
+            want = np.array(
+                [oracle.position_at(xy, times, t) for xy, times in oracle.paths(traj)]
+            )
             assert np.array_equal(traj.positions_at(t), want)
 
     def test_critical_and_discontinuity_times(self, mixed_trajectory):
         traj = mixed_trajectory
         ts = {traj.t_start, traj.t_end}
-        for p in traj.paths:
-            ts.update(float(t) for t in p.times)
+        ts.update(float(t) for t in traj.times)
         arr = np.array(sorted(ts))
         want = arr[(arr >= traj.t_start - 1e-9) & (arr <= traj.t_end + 1e-9)]
         assert np.array_equal(traj.critical_times(), want)
 
         ds = sorted(
-            {float(t) for p in traj.paths for t in p.discontinuity_times()}
+            {float(t) for xy, times in oracle.paths(traj)
+             for t in oracle.discontinuities(xy, times)}
         )
         assert traj.discontinuity_times().tolist() == ds
 
     def test_two_waypoint_jump_detected(self):
-        # A duplicated-time two-waypoint path is a jump even though it
-        # sits in the vectorised two-waypoint group's near-degenerate
-        # corner.
-        jump = TimedPath([[0.0, 0.0], [1.0, 0.0]], [2.0, 2.0])
+        # A two-waypoint path whose time stamps coincide is a jump.
         traj = SwarmTrajectory(
-            [jump, TimedPath.stationary([5.0, 5.0], 0.0)], 0.0, 10.0
+            [0, 2, 3], [2.0, 2.0, 0.0], [[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]],
+            0.0, 10.0,
         )
         assert traj.discontinuity_times().tolist() == [2.0]
 
     def test_path_lengths_match(self, mixed_trajectory):
         traj = mixed_trajectory
-        want = np.array([p.length for p in traj.paths])
+        want = np.array([polyline_length(xy) for xy, _ in oracle.paths(traj)])
         assert np.array_equal(traj.path_lengths(), want)
 
     def test_bad_side_rejected(self, mixed_trajectory):
