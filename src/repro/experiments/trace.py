@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.metrics.connectivity import isolated_counts
+from repro.metrics.connectivity import _position_blocks, isolated_counts
 from repro.network.links import LinkTable
-from repro.network.udg import UnitDiskGraph
+from repro.network.udg import udg_edges
 from repro.robots.motion import SwarmTrajectory
 from repro.viz.chart import LineChart
 
@@ -79,12 +79,13 @@ def record_trace(
     total_counts = []
     running = []
     stable = np.ones(links.link_count, dtype=bool)
-    for snapshot in trajectory.positions_over(times):
-        alive = links.alive_mask(snapshot)
-        stable &= alive
-        alive_counts.append(int(alive.sum()))
-        running.append(int(stable.sum()))
-        total_counts.append(len(UnitDiskGraph(snapshot, links.comm_range).edges))
+    for table in _position_blocks(trajectory, times):
+        for snapshot in table:
+            alive = links.alive_mask(snapshot)
+            stable &= alive
+            alive_counts.append(int(alive.sum()))
+            running.append(int(stable.sum()))
+            total_counts.append(len(udg_edges(snapshot, links.comm_range)))
     return TransitionTrace(
         times=times,
         initial_links_alive=np.asarray(alive_counts),

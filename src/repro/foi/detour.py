@@ -16,17 +16,18 @@ single-region interface.
 
 Batch design
 ------------
-Every edge of every hole goes into one flat array (:class:`_HoleEdges`),
-and many segments are tested against all of it at once: a few NumPy
-operations over a ``(segments, edges)`` grid, processed in row blocks of
-at most :data:`_BLOCK_CELLS` cells so temporaries stay small at swarm
-scale.  The grid repeats the floating-point expressions of
+Every edge of every hole goes into one flat
+:class:`~repro.geometry.edges.EdgeTable`, and many segments are tested
+against all of it at once: a few NumPy operations over a
+``(segments, edges)`` grid, processed in row blocks of at most
+:data:`~repro.geometry.edges._BLOCK_CELLS` cells so temporaries stay
+small at swarm scale.  The grid repeats the floating-point expressions of
 :func:`~repro.geometry.segment.segment_intersection_point` element by
 element, so every hit point is bitwise the scalar one; the few
 parallel/collinear edges go through that scalar function itself, and
 each hit's segment parameter is computed on the hits only, with the
-scalar expression.  The midpoint interior test behind "blocked" runs as
-one :meth:`Polygon.contains` call per hole.
+scalar expression.  The midpoint interior test behind "blocked" is one
+parity pass of the same table over every midpoint.
 
 :func:`paths_blocked_by_holes` applies this to a whole swarm's straight
 paths, so only the blocked robots enter :func:`detour_path_holes`.  Its
@@ -44,6 +45,7 @@ import numpy as np
 
 from repro.errors import GeometryError
 from repro.foi.region import FieldOfInterest
+from repro.geometry.edges import _BLOCK_CELLS, EdgeTable
 from repro.geometry.polygon import Polygon
 from repro.geometry.segment import _EPS, segment_intersection_point
 from repro.geometry.vec import as_point, as_points, polyline_length
@@ -57,9 +59,6 @@ __all__ = [
 ]
 
 _MAX_DETOURS = 32
-
-#: (segment x edge) cells per vectorized block.
-_BLOCK_CELLS = 1 << 16
 
 # A hit: (segment parameter t, point, edge index within its hole).
 Hit = tuple[float, np.ndarray, int]
@@ -77,26 +76,7 @@ def _merge_hits(hits: list[Hit]) -> list[Hit]:
     return merged
 
 
-class _HoleEdges:
-    """Every edge of a hole list as flat arrays, in hole then vertex order."""
-
-    def __init__(self, holes: Sequence[Polygon]) -> None:
-        self.holes = list(holes)
-        verts = [h.vertices for h in self.holes] or [np.zeros((0, 2))]
-        sizes = [len(v) for v in verts]
-        self.start = np.concatenate(verts)
-        self.end = np.concatenate([np.roll(v, -1, axis=0) for v in verts])
-        self.owner = np.repeat(np.arange(len(verts)), sizes)
-        self.offset = np.cumsum([0] + sizes[:-1])
-        self.dx = self.end[:, 0] - self.start[:, 0]
-        self.dy = self.end[:, 1] - self.start[:, 1]
-        self.l1 = np.abs(self.dx) + np.abs(self.dy)
-
-    def __len__(self) -> int:
-        return len(self.owner)
-
-
-def _segment_hits(edges: _HoleEdges, p: np.ndarray, q: np.ndarray) -> list[dict[int, list[Hit]]]:
+def _segment_hits(edges: EdgeTable, p: np.ndarray, q: np.ndarray) -> list[dict[int, list[Hit]]]:
     """Intersections of the segments ``[p[i], q[i]]`` with every hole.
 
     Returns one ``{hole index: hits}`` dict per segment, where ``hits``
@@ -151,25 +131,24 @@ def _segment_hits(edges: _HoleEdges, p: np.ndarray, q: np.ndarray) -> list[dict[
 
 
 def _first_blocking(
-    edges: _HoleEdges, p: np.ndarray, q: np.ndarray
+    edges: EdgeTable, p: np.ndarray, q: np.ndarray
 ) -> list[tuple[int, list[Hit]] | None]:
     """Per segment, ``(hole index, hits)`` of the first hole whose interior
     it crosses (as :func:`_path_blocked_by_holes_scalar`), or ``None``."""
     hits = _segment_hits(edges, p, q)
     # Midpoints between consecutive crossings decide interior passage.
-    mids: dict[int, list[tuple[int, int, np.ndarray]]] = {}
+    mids: list[tuple[int, int, int, np.ndarray]] = []
     for i, per_hole in enumerate(hits):
         for h, hh in per_hole.items():
             for k in range(len(hh) - 1):
-                mids.setdefault(h, []).append((i, k, (hh[k][1] + hh[k + 1][1]) / 2.0))
+                mids.append((i, h, k, (hh[k][1] + hh[k + 1][1]) / 2.0))
     interior: dict[tuple[int, int], int] = {}
-    for h, items in mids.items():
-        inside = edges.holes[h].contains(
-            np.array([mid for _, _, mid in items]), include_boundary=False
-        )
-        for (i, k, _), flag in zip(items, inside):
+    if mids:
+        holes = [h for _, h, _, _ in mids]
+        inside = edges.parity(np.array([mid for *_, mid in mids]))[np.arange(len(mids)), holes]
+        for (i, h, k, _), flag in zip(mids, inside):
             if flag:
-                interior.setdefault((i, h), k)  # items run in k order
+                interior.setdefault((i, h), k)  # each (i, h) runs in k order
     out: list[tuple[int, list[Hit]] | None] = [None] * len(hits)
     first_t: dict[int, float] = {}
     for (i, h), k in sorted(interior.items()):
@@ -191,7 +170,7 @@ def paths_blocked_by_holes(holes: Sequence[Polygon], starts, ends) -> np.ndarray
     q = as_points(ends)
     if len(p) != len(q):
         raise GeometryError("start/end count mismatch")
-    found = _first_blocking(_HoleEdges(holes), p, q)
+    found = _first_blocking(EdgeTable(holes), p, q)
     return np.array([-1 if f is None else f[0] for f in found], dtype=int)
 
 
@@ -274,7 +253,7 @@ def detour_path_holes(
     """
     p = as_point(p)
     q = as_point(q)
-    edges = _HoleEdges(holes)
+    edges = EdgeTable(holes)
     path = [p.copy(), q.copy()]
     start = 0  # segments before ``start`` are verified free
     for repairs in range(_MAX_DETOURS):
@@ -285,7 +264,7 @@ def detour_path_holes(
             return (pts, repairs) if return_repairs else pts
         start += found
         hole_idx, hits = blocked[found]
-        path[start + 1 : start + 1] = _detour_arc(edges.holes[hole_idx], hits, margin)
+        path[start + 1 : start + 1] = _detour_arc(edges.polygons[hole_idx], hits, margin)
     raise GeometryError(
         f"detour did not converge after {_MAX_DETOURS} repairs (the last around "
         f"hole {hole_idx}, at segment {start}); hole layout too complex"

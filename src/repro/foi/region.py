@@ -16,11 +16,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import GeometryError
+from repro.geometry.edges import EdgeTable
 from repro.geometry.polygon import Polygon
-from repro.geometry.segment import project_point_on_segment
 from repro.geometry.vec import as_point, as_points
 
 __all__ = ["FieldOfInterest"]
+
+
+def _free(verdict: np.ndarray) -> np.ndarray:
+    """In the free region: inside the outer loop and in no hole."""
+    return verdict[:, 0] & ~verdict[:, 1:].any(axis=1)
 
 
 class FieldOfInterest:
@@ -50,7 +55,7 @@ class FieldOfInterest:
             for j in range(i + 1, len(self.holes)):
                 if bool(
                     np.any(self.holes[i].contains(self.holes[j].vertices))
-                ) and bool(np.any(self.holes[j].contains(self.holes[i].vertices))):
+                ) or bool(np.any(self.holes[j].contains(self.holes[i].vertices))):
                     raise GeometryError(f"holes {i} and {j} overlap")
 
     # ------------------------------------------------------------------
@@ -87,30 +92,33 @@ class FieldOfInterest:
     # Predicates
     # ------------------------------------------------------------------
 
+    @cached_property
+    def edge_table(self) -> EdgeTable:
+        """Outer boundary (loop 0) then holes (loops 1..) as one
+        :class:`~repro.geometry.edges.EdgeTable`."""
+        return EdgeTable((self.outer,) + self.holes)
+
+    def _verdicts(self, p: np.ndarray) -> np.ndarray:
+        """Per-loop verdicts from one pass over the edge table: outer
+        boundary with its band (loop 0), holes strictly (loops 1..)."""
+        return self.edge_table.inside(p, band=(0,))
+
     def contains(self, points) -> np.ndarray:
         """Whether points lie in the free region (inside outer, outside holes)."""
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         p = as_points(pts[None, :] if single else pts)
-        inside = self.outer.contains(p, include_boundary=True)
-        for hole in self.holes:
-            inside &= ~hole.contains(p, include_boundary=False)
+        inside = _free(self._verdicts(p))
         return bool(inside[0]) if single else inside
 
     def hole_containing(self, point) -> int | None:
         """Index of the hole containing ``point``, or ``None``."""
-        for i, hole in enumerate(self.holes):
-            if bool(hole.contains(point, include_boundary=False)):
-                return i
-        return None
+        in_hole = self.edge_table.parity(as_point(point)[None, :])[0, 1:]
+        return int(np.argmax(in_hole)) if in_hole.any() else None
 
     def boundary_distances(self, points) -> np.ndarray:
         """Distances from many points to the nearest boundary, vectorised."""
-        pts = as_points(points)
-        d = self.outer.boundary_distances(pts)
-        for hole in self.holes:
-            d = np.minimum(d, hole.boundary_distances(pts))
-        return d
+        return self.edge_table.min_distances(as_points(points))
 
     def boundary_distance(self, point) -> float:
         """Distance from ``point`` to the nearest boundary (outer or hole)."""
@@ -118,13 +126,7 @@ class FieldOfInterest:
 
     def hole_distances(self, points) -> np.ndarray:
         """Distances to the nearest hole boundary (``inf`` without holes)."""
-        pts = as_points(points)
-        if not self.holes:
-            return np.full(len(pts), np.inf)
-        d = self.holes[0].boundary_distances(pts)
-        for hole in self.holes[1:]:
-            d = np.minimum(d, hole.boundary_distances(pts))
-        return d
+        return self.edge_table.min_distances(as_points(points), first_loop=1)
 
     def hole_distance(self, point) -> float:
         """Distance to the nearest hole boundary; ``inf`` if there are none."""
@@ -134,49 +136,53 @@ class FieldOfInterest:
     # Projection / sampling
     # ------------------------------------------------------------------
 
-    def project_inside(self, point) -> np.ndarray:
-        """Nearest point of the free region to ``point``.
+    def project_inside(self, points) -> np.ndarray:
+        """Nearest point of the free region to each of ``points``.
 
-        Points already in the free region are returned unchanged.
-        Points in a hole are pushed to the nearest point of that hole's
-        boundary (the paper's "choose the nearest grid point along the
-        hole boundary" rule, in continuous form); points outside the
-        outer polygon are pulled to its boundary.
+        Accepts one ``(2,)`` point or an ``(m, 2)`` array, as
+        :meth:`contains` does.  Points already in the free region are
+        returned unchanged.  Points in a hole are pushed to the nearest
+        point of that hole's boundary (the paper's "choose the nearest
+        grid point along the hole boundary" rule, in continuous form);
+        points outside the outer polygon are pulled to its boundary.
+        Each projection is then nudged off the boundary toward the free
+        side, and the nudge is kept only if the nudged point is in the
+        free region.
         """
-        p = as_point(point)
-        if bool(self.contains(p)):
-            return p.copy()
-        hole_idx = self.hole_containing(p)
-        poly = self.holes[hole_idx] if hole_idx is not None else self.outer
-        best, best_d = None, float("inf")
-        v = poly.vertices
-        n = len(v)
-        for i in range(n):
-            q = project_point_on_segment(p, v[i], v[(i + 1) % n])
-            d = float(np.hypot(p[0] - q[0], p[1] - q[1]))
-            if d < best_d:
-                best, best_d = q, d
-        assert best is not None
-        # Nudge off the boundary toward the free side so containment holds.
-        direction = self.centroid - best if hole_idx is None else best - poly.centroid
-        nrm = float(np.hypot(direction[0], direction[1]))
-        if nrm > 1e-12:
-            candidate = best + direction / nrm * 1e-6 * max(1.0, np.sqrt(self.area))
-            if bool(self.contains(candidate)):
-                return candidate
-        return best
+        pts = np.asarray(points, dtype=float)
+        single = pts.ndim == 1
+        p = as_points(pts[None, :] if single else pts)
+        out = p.copy()
+        verdict = self._verdicts(p)
+        todo = np.flatnonzero(~_free(verdict))
+        if len(todo):
+            in_hole = verdict[todo]
+            in_hole[:, 0] = False
+            loop = in_hole.argmax(axis=1)  # the first hole holding it, else 0
+            best = self.edge_table.project(p[todo], loop)
+            centre = np.vstack([self.centroid] + [h.centroid for h in self.holes])[loop]
+            outer = (loop == 0)[:, None]
+            direction = np.where(outer, centre - best, best - centre)
+            nrm = np.hypot(direction[:, 0], direction[:, 1])
+            nudge = np.flatnonzero(nrm > 1e-12)
+            candidate = (
+                best[nudge]
+                + direction[nudge] / nrm[nudge, None] * 1e-6 * max(1.0, np.sqrt(self.area))
+            )
+            accept = _free(self._verdicts(candidate))
+            best[nudge[accept]] = candidate[accept]
+            out[todo] = best
+        return out[0] if single else out
 
     def grid_points(self, spacing: float) -> np.ndarray:
         """Square-grid points inside the free region at pitch ``spacing``."""
         if spacing <= 0:
             raise GeometryError("grid spacing must be positive")
         pts = self.outer.grid_points(spacing)
-        if len(pts) == 0:
+        if len(pts) == 0 or not self.holes:
             return pts
-        mask = np.ones(len(pts), dtype=bool)
-        for hole in self.holes:
-            mask &= ~hole.contains(pts, include_boundary=True)
-        return pts[mask]
+        verdict = self.edge_table.inside(pts, band=range(1, self.edge_table.loops))
+        return pts[~verdict[:, 1:].any(axis=1)]
 
     def sample_free_points(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """``n`` uniform random points of the free region (rejection sampling)."""

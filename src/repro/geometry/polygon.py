@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.segment import points_segments_distance, segments_properly_cross
+from repro.geometry.edges import EdgeTable
 from repro.geometry.vec import as_points
 
 __all__ = ["Polygon", "signed_area", "polygon_centroid"]
@@ -74,11 +74,7 @@ class Polygon:
     def __init__(self, vertices: Iterable) -> None:
         v = as_points(vertices)
         if len(v) >= 2:
-            keep = np.ones(len(v), dtype=bool)
-            for i in range(len(v)):
-                if np.allclose(v[i], v[(i + 1) % len(v)], atol=1e-12):
-                    keep[i] = False
-            v = v[keep]
+            v = v[~np.isclose(v, np.roll(v, -1, axis=0), atol=1e-12).all(axis=1)]
         if len(v) < 3:
             raise GeometryError("a polygon needs at least 3 distinct vertices")
         a = signed_area(v)
@@ -132,10 +128,14 @@ class Polygon:
             float(v[:, 1].max()),
         )
 
+    @cached_property
+    def edge_table(self) -> EdgeTable:
+        """This polygon's edges as one :class:`~repro.geometry.edges.EdgeTable`."""
+        return EdgeTable([self])
+
     def edges(self) -> np.ndarray:
         """Edge array of shape ``(n, 2, 2)``: ``edges[i] = (v_i, v_{i+1})``."""
-        v = self._vertices
-        return np.stack([v, np.roll(v, -1, axis=0)], axis=1)
+        return np.stack([self.edge_table.start, self.edge_table.end], axis=1)
 
     # ------------------------------------------------------------------
     # Predicates
@@ -148,8 +148,8 @@ class Polygon:
         ----------
         points : (m, 2) or (2,) array-like
         include_boundary : bool
-            Whether points within a small tolerance of the boundary
-            count as inside.
+            Whether points within ``1e-9 * max(1, perimeter)`` of the
+            boundary count as inside.
 
         Returns
         -------
@@ -158,31 +158,12 @@ class Polygon:
         pts = np.asarray(points, dtype=float)
         single = pts.ndim == 1
         p = as_points(pts[None, :] if single else pts)
-        v = self._vertices
-        x, y = p[:, 0], p[:, 1]
-        inside = np.zeros(len(p), dtype=bool)
-        n = len(v)
-        j = n - 1
-        for i in range(n):
-            xi, yi = v[i]
-            xj, yj = v[j]
-            crosses = (yi > y) != (yj > y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x_int = (xj - xi) * (y - yi) / (yj - yi) + xi
-            inside ^= crosses & (x < x_int)
-            j = i
-        if include_boundary:
-            tol = 1e-9 * max(1.0, self.perimeter)
-            inside |= self.boundary_distances(p) <= tol
+        inside = self.edge_table.inside(p, band=(0,) if include_boundary else ())[:, 0]
         return bool(inside[0]) if single else inside
 
     def boundary_distances(self, points) -> np.ndarray:
         """Distances from many points to the polygon boundary, vectorised."""
-        p = as_points(points)
-        if len(p) == 0:
-            return np.zeros(0)
-        v = self._vertices
-        return points_segments_distance(p, v, np.roll(v, -1, axis=0)).min(axis=1)
+        return self.edge_table.min_distances(as_points(points))
 
     def boundary_distance(self, point) -> float:
         """Distance from ``point`` to the polygon boundary (always >= 0)."""
@@ -191,31 +172,20 @@ class Polygon:
     @cached_property
     def is_convex(self) -> bool:
         """Whether the polygon is convex (CCW turning at every vertex)."""
-        v = self._vertices
-        n = len(v)
-        for i in range(n):
-            a, b, c = v[i], v[(i + 1) % n], v[(i + 2) % n]
-            cr = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-            if cr < -1e-9 * max(1.0, self.perimeter) ** 2:
-                return False
-        return True
+        a = self._vertices
+        b = np.roll(a, -1, axis=0)
+        c = np.roll(a, -2, axis=0)
+        cr = (b[:, 0] - a[:, 0]) * (c[:, 1] - b[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - b[:, 0])
+        return not bool(np.any(cr < -1e-9 * max(1.0, self.perimeter) ** 2))
 
     def is_simple(self) -> bool:
         """Whether no two non-adjacent edges properly cross.
 
-        Quadratic check; intended for validation and tests, not hot paths.
+        One vectorised pass over every non-adjacent edge pair, with
+        :func:`~repro.geometry.segment.orientation`'s tolerance; zoo
+        validation runs it on every generated boundary.
         """
-        v = self._vertices
-        n = len(v)
-        for i in range(n):
-            a1, a2 = v[i], v[(i + 1) % n]
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
-                b1, b2 = v[j], v[(j + 1) % n]
-                if segments_properly_cross(a1, a2, b1, b2):
-                    return False
-        return True
+        return not self.edge_table.self_crossing()
 
     # ------------------------------------------------------------------
     # Transforms and sampling

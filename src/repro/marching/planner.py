@@ -205,9 +205,7 @@ class MarchingPlanner:
             q[i] = p[i] + (q[ref] - p[ref])
         # Robots mapped onto hole-boundary chords may sit marginally
         # inside a hole; project them into the free region.
-        inside = target_foi.contains(q)
-        for i in np.flatnonzero(~inside):
-            q[i] = target_foi.project_inside(q[i])
+        q = target_foi.project_inside(q)
 
         with span("plan.repair"):
             q, repair_info = self._repair(p, q, links.links, anchors, comm_range)

@@ -44,8 +44,16 @@ __all__ = [
 # Instants whose witness links are tested in one vectorised call.
 _WITNESS_BLOCK = 32
 # Instants whose positions are fetched from the trajectory at once, so
-# memory stays O(n) however many instants are evaluated.
+# memory stays O(n) however many instants are evaluated.  Every sampler
+# over a whole transition reads this one constant.
 _POSITION_BLOCK = 64
+
+
+def _position_blocks(trajectory: SwarmTrajectory, times, side: str = "right"):
+    """``trajectory.positions_over(times, side)`` in consecutive tables of
+    at most ``_POSITION_BLOCK`` instants each."""
+    for lo in range(0, len(times), _POSITION_BLOCK):
+        yield trajectory.positions_over(times[lo:lo + _POSITION_BLOCK], side=side)
 
 
 @dataclass(frozen=True)

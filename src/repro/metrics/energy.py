@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geometry.vec import pairwise_distances
+from repro.metrics.connectivity import _position_blocks
+from repro.network.udg import udg_edges
 from repro.robots.motion import SwarmTrajectory
 
 __all__ = ["EnergyModel", "LinkChurnReport", "link_churn", "transition_energy"]
@@ -75,35 +76,34 @@ def link_churn(
 
     Distances are evaluated at the trajectory's critical times merged
     with a uniform grid (exact for synchronous piecewise-linear motion,
-    see :mod:`repro.robots.motion`).
+    see :mod:`repro.robots.motion`).  Positions are fetched a block of
+    instants at a time and each instant's links come from the spatial
+    hash of :func:`~repro.network.udg.udg_edges`, so memory stays
+    linear in the swarm and in its links.
     """
     times = trajectory.sample_times(resolution)
-    table = trajectory.positions_over(times)
-    n = table.shape[1]
-    iu, ju = np.triu_indices(n, k=1)
-    prev = None
-    pairing = 0
-    breaking = 0
-    initial = final = 0
-    stable = None
-    for k in range(table.shape[0]):
-        d = pairwise_distances(table[k])[iu, ju]
-        connected = d <= comm_range
-        if prev is None:
-            initial = int(connected.sum())
-            stable = connected.copy()
-        else:
-            pairing += int((connected & ~prev).sum())
-            breaking += int((~connected & prev).sum())
-            stable &= connected
-        prev = connected
-    final = int(prev.sum()) if prev is not None else 0
+    n = trajectory.robot_count
+    prev = stable = None
+    pairing = breaking = initial = 0
+    for table in _position_blocks(trajectory, times):
+        for snapshot in table:
+            e = udg_edges(snapshot, comm_range)
+            links = np.unique(e[:, 0] * n + e[:, 1])  # one sorted key per link
+            if prev is None:
+                initial = len(links)
+                stable = links
+            else:
+                pairing += len(np.setdiff1d(links, prev, assume_unique=True))
+                breaking += len(np.setdiff1d(prev, links, assume_unique=True))
+                stable = np.intersect1d(stable, links, assume_unique=True)
+            prev = links
+    final = len(prev) if prev is not None else 0
     return LinkChurnReport(
         pairing_events=pairing,
         breaking_events=breaking,
         initial_links=initial,
         final_links=final,
-        stable_links=int(stable.sum()) if stable is not None else 0,
+        stable_links=len(stable) if stable is not None else 0,
         samples=len(times),
     )
 

@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.metrics.connectivity import _position_blocks
 from repro.network.links import LinkTable
 from repro.obs import span
 from repro.robots.motion import SwarmTrajectory
 
 __all__ = ["StableLinkReport", "stable_link_ratio", "stable_link_report"]
 
-# Instants whose positions are fetched from the trajectory at once, so
-# memory stays O(n) however many instants are sampled.
-_POSITION_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -92,10 +90,8 @@ def _stable_over(
 ) -> np.ndarray:
     """Links alive at every one of ``times`` (``side``-limits at jumps)."""
     stable = np.ones(links.link_count, dtype=bool)
-    for lo in range(0, len(times), _POSITION_BLOCK):
+    for table in _position_blocks(trajectory, times, side):
+        stable &= links.stable_mask_over(table)
         if not stable.any():
             break
-        stable &= links.stable_mask_over(
-            trajectory.positions_over(times[lo:lo + _POSITION_BLOCK], side=side)
-        )
     return stable

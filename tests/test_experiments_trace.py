@@ -77,3 +77,22 @@ class TestRenderTraceChart:
         text = path.read_text()
         assert "initial links alive" in text
         assert "stable so far" in text
+
+
+class TestTraceBlocks:
+    def test_block_size_does_not_change_the_trace(self, rng):
+        from unittest import mock
+
+        from repro.metrics import connectivity
+
+        pos = rng.uniform(0, 5, (10, 2))
+        links = LinkTable.from_positions(pos, 2.5)
+        traj = straight_transition(pos, pos + rng.normal(0, 3, (10, 2)))
+        traces = []
+        for block in (1, 5, connectivity._POSITION_BLOCK):
+            with mock.patch.object(connectivity, "_POSITION_BLOCK", block):
+                traces.append(record_trace(traj, links, resolution=16))
+        for t in traces[1:]:
+            for field in ("initial_links_alive", "total_links", "isolated",
+                          "stable_links_running"):
+                assert getattr(t, field).tolist() == getattr(traces[0], field).tolist()

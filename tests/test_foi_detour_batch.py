@@ -23,6 +23,7 @@ from repro.foi import (
 )
 from repro.foi import detour
 from repro.geometry import Polygon
+from repro.geometry.edges import EdgeTable
 from repro.marching import MarchingConfig, MarchingPlanner
 from repro.obs import Tracer, activate
 from repro.robots import RadioSpec, Swarm, detoured_transition
@@ -80,7 +81,7 @@ class TestHitsMatchScalarOracle:
     def test_hits_bitwise_equal(self, holes, segments):
         p = np.array([s[0] for s in segments])
         q = np.array([s[1] for s in segments])
-        got = detour._segment_hits(detour._HoleEdges(holes), p, q)
+        got = detour._segment_hits(EdgeTable(holes), p, q)
         for i in range(len(p)):
             for h, hole in enumerate(holes):
                 want = detour._segment_hole_hits_scalar(p[i], q[i], hole)

@@ -29,6 +29,15 @@ class TestConstruction:
         with pytest.raises(GeometryError):
             FieldOfInterest(OUTER, [small_hole(cx=20.0)])
 
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_nested_holes_rejected(self, order):
+        # A hole inside another hole would be subtracted twice: the free
+        # area of outer +-10 minus holes +-4 and +-1 would read 332, not 336.
+        square = lambda r: [(-r, -r), (r, -r), (r, r), (-r, r)]  # noqa: E731
+        holes = [square(4), square(1)]
+        with pytest.raises(GeometryError, match="overlap"):
+            FieldOfInterest(square(10), [holes[i] for i in order])
+
     def test_accepts_raw_vertex_arrays(self):
         foi = FieldOfInterest([(0, 0), (4, 0), (4, 4), (0, 4)])
         assert foi.area == pytest.approx(16.0)

@@ -119,3 +119,43 @@ class TestEnergy:
         e_swapped = transition_energy(swapped, 1.5, model)
         assert e_rigid.pairing == 0.0
         assert e_swapped.pairing > 0.0
+
+
+def _dense_churn(traj, comm_range, resolution):
+    """The per-instant dense reference: the full position table and an
+    n x n distance matrix per instant."""
+    from repro.geometry.vec import pairwise_distances
+
+    table = traj.positions_over(traj.sample_times(resolution))
+    iu, ju = np.triu_indices(table.shape[1], k=1)
+    states = [pairwise_distances(snap)[iu, ju] <= comm_range for snap in table]
+    pairs = list(zip(states, states[1:]))
+    return (
+        sum(int((b & ~a).sum()) for a, b in pairs),
+        sum(int((a & ~b).sum()) for a, b in pairs),
+        int(states[0].sum()),
+        int(states[-1].sum()),
+        int(np.logical_and.reduce(states).sum()),
+    )
+
+
+class TestChurnBlocks:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_counts_match_dense_at_every_block_size(self, seed):
+        from unittest import mock
+
+        from repro.metrics import connectivity
+
+        rng = np.random.default_rng(seed)
+        pos = rng.uniform(0, 6, (12, 2))
+        mid = pos + rng.normal(0, 2.0, (12, 2))
+        traj = straight_transition(pos, mid, 0.0, 0.5).then(
+            straight_transition(mid, rng.uniform(0, 6, (12, 2)), 0.5, 1.0)
+        )
+        want = _dense_churn(traj, 2.0, 16)
+        for block in (1, 5, connectivity._POSITION_BLOCK):
+            with mock.patch.object(connectivity, "_POSITION_BLOCK", block):
+                r = link_churn(traj, 2.0, resolution=16)
+            got = (r.pairing_events, r.breaking_events, r.initial_links,
+                   r.final_links, r.stable_links)
+            assert got == want
