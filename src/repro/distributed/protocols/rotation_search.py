@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.distributed.protocols.flooding import flood_aggregate
 from repro.errors import ProtocolError
-from repro.geometry.vec import rotate
 from repro.harmonic.rotation import AngleSearchResult, hierarchical_angle_search
 from repro.harmonic.transfer import InducedMap
 from repro.obs import span
@@ -77,20 +76,15 @@ class DistributedRotationSearch:
         n = len(self.disk)
         if len(self.starts) != n or len(adjacency) != n:
             raise ProtocolError("inconsistent robot counts")
-        # Per-robot incident-link lists for the local score.
-        self._incident: list[list[int]] = [[] for _ in range(n)]
-        for idx, (u, v) in enumerate(self.links):
-            self._incident[int(u)].append(idx)
-            self._incident[int(v)].append(idx)
         self.flood_rounds = 0
 
     # ------------------------------------------------------------------
 
     def _evaluate(self, angle: float, maximize: bool) -> tuple[np.ndarray, float]:
         """One candidate angle: the mapped targets and the flooded score."""
-        # Every robot maps its own rotated disk point (local computation).
-        rotated = rotate(self.disk, angle)
-        targets = np.array([self.induced.map_point(p) for p in rotated])
+        # Every robot maps its own rotated disk point (local computation;
+        # one batch call computes all robots' images at once).
+        targets = self.induced.map_points(self.disk, rotation=angle)
         if maximize:
             # Local score: my surviving incident links (each link is seen
             # by both endpoints; the global flood sum therefore counts
@@ -98,10 +92,11 @@ class DistributedRotationSearch:
             # mirroring the double-sum in Definition 1).
             d = targets[self.links[:, 0]] - targets[self.links[:, 1]]
             alive = np.hypot(d[:, 0], d[:, 1]) <= self.comm_range
-            local = [
-                float(sum(alive[k] for k in self._incident[i]))
-                for i in range(len(self.disk))
-            ]
+            local = np.bincount(
+                self.links.ravel(),
+                weights=np.repeat(alive, 2),
+                minlength=len(self.disk),
+            ).tolist()
         else:
             # Local score: my own moving distance (negated: flooding
             # computes a sum, the halving step always maximises).

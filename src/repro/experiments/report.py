@@ -206,7 +206,7 @@ def build_report(
             f"{curve['seed']}, comm range {curve['comm_range']:g} m) at "
             f"n = {', '.join(str(n) for n in curve['sizes'])}; each cell is "
             "wall-clock / peak allocation (tracemalloc) for one pipeline "
-            "stage.  The spatial-hash edge set is verified against the "
+            "stage.  The KD-tree edge set is verified against the "
             "brute-force oracle at the sizes where the oracle is feasible.",
             "",
             format_scaling_table(curve),

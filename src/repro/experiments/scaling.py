@@ -102,7 +102,7 @@ def _curve_for_size(
         oracle = _udg_edges_bruteforce(pts, comm_range)
         if not np.array_equal(edges, oracle):
             raise AssertionError(
-                f"spatial-hash UDG deviates from brute force at n={n}"
+                f"KD-tree UDG deviates from brute force at n={n}"
             )
 
     graph = UnitDiskGraph(pts, comm_range)
@@ -165,7 +165,7 @@ def scaling_curve(
     seed : int
         Seed for the synthetic deployments.
     verify_max_n : int
-        Up to this size the spatial-hash edge set is checked against
+        Up to this size the KD-tree edge set is checked against
         the brute-force oracle (an :class:`AssertionError` on any
         deviation); beyond it the oracle is too slow to run routinely.
 

@@ -125,19 +125,10 @@ def validate_foi(
             )
             break
     checks["hole_clearance"] = clear_ok
-    disjoint = True
-    for i in range(len(foi.holes)):
-        for j in range(i + 1, len(foi.holes)):
-            a, b = foi.holes[i], foi.holes[j]
-            if bool(np.any(a.contains(b.vertices))) or bool(
-                np.any(b.contains(a.vertices))
-            ):
-                disjoint = False
-                detail = detail or f"holes {i} and {j} intersect"
-                break
-        if not disjoint:
-            break
-    checks["holes_disjoint"] = disjoint
+    crossing = foi.edge_table.crossing_loops()
+    if crossing is not None:
+        detail = detail or f"boundary loops {crossing[0]} and {crossing[1]} cross"
+    checks["holes_disjoint"] = crossing is None
     if not detail and not all(checks.values()):
         detail = f"failed: {[k for k, v in checks.items() if not v]}"
     return ValidationReport(checks=checks, detail=detail)

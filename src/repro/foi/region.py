@@ -36,8 +36,9 @@ class FieldOfInterest:
     outer : Polygon or (n, 2) array-like
         Outer boundary.
     holes : iterable of Polygon or array-like, optional
-        Hole boundaries.  Each hole must lie strictly inside the outer
-        polygon and holes must not contain one another.
+        Hole boundaries.  Each hole must lie inside the outer polygon,
+        holes must not contain one another, and no hole edge may
+        properly cross another hole's or the outer boundary's edges.
     name : str
         Human-readable label used by experiments and figures.
     """
@@ -57,6 +58,12 @@ class FieldOfInterest:
                     np.any(self.holes[i].contains(self.holes[j].vertices))
                 ) or bool(np.any(self.holes[j].contains(self.holes[i].vertices))):
                     raise GeometryError(f"holes {i} and {j} overlap")
+        crossing = self.edge_table.crossing_loops() if self.holes else None
+        if crossing is not None:
+            a, b = crossing
+            if a == 0:
+                raise GeometryError(f"hole {b - 1} crosses the outer boundary")
+            raise GeometryError(f"holes {a - 1} and {b - 1} overlap")
 
     # ------------------------------------------------------------------
 

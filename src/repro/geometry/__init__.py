@@ -7,7 +7,6 @@ independent oracle in tests.
 
 from repro.geometry.barycentric import (
     barycentric_coords,
-    barycentric_coords_many,
     barycentric_coords_paired,
     from_barycentric,
     point_in_triangle,
@@ -50,7 +49,6 @@ __all__ = [
     "as_point",
     "as_points",
     "barycentric_coords",
-    "barycentric_coords_many",
     "barycentric_coords_paired",
     "bounding_box_polygon",
     "clip_convex",

@@ -3,8 +3,8 @@
 The induced harmonic map of the paper transfers a robot's disk position
 into geographic coordinates by barycentric interpolation over the grid
 triangle containing it (Eqn. 1).  This module provides the forward and
-inverse operations plus containment predicates, both scalar and
-vectorised over many triangles.
+inverse operations plus containment predicates, scalar and
+vectorised over point-triangle pairs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "barycentric_coords",
     "from_barycentric",
     "point_in_triangle",
-    "barycentric_coords_many",
     "barycentric_coords_paired",
 ]
 
@@ -77,50 +76,12 @@ def point_in_triangle(p, a, b, c, tol: float = 1e-9) -> bool:
     return bool(np.all(t >= -tol))
 
 
-def barycentric_coords_many(p, tri_a, tri_b, tri_c) -> np.ndarray:
-    """Barycentric coordinates of one point ``p`` against many triangles.
-
-    Parameters
-    ----------
-    p : (2,) array-like
-    tri_a, tri_b, tri_c : (m, 2) arrays
-        Corner coordinates of ``m`` candidate triangles.
-
-    Returns
-    -------
-    (m, 3) ndarray
-        Rows are ``(t1, t2, t3)``; degenerate triangles yield rows of
-        ``nan`` rather than raising, so callers can mask them out.
-    """
-    p = as_point(p)
-    a = as_points(tri_a)
-    b = as_points(tri_b)
-    c = as_points(tri_c)
-    area2 = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-        c[:, 0] - a[:, 0]
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (
-            (b[:, 0] - p[0]) * (c[:, 1] - p[1]) - (b[:, 1] - p[1]) * (c[:, 0] - p[0])
-        ) / area2
-        t2 = (
-            (p[0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-            - (p[1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-        ) / area2
-    t1 = np.where(np.abs(area2) < 1e-300, np.nan, t1)
-    t2 = np.where(np.abs(area2) < 1e-300, np.nan, t2)
-    t3 = 1.0 - t1 - t2
-    return np.column_stack([t1, t2, t3])
-
-
 def barycentric_coords_paired(pts, tri_a, tri_b, tri_c) -> np.ndarray:
     """Row-wise barycentric coordinates: point ``k`` in triangle ``k``.
 
-    The batched counterpart of :func:`barycentric_coords_many` for the
-    case of *many points, each against its own triangle* - the shape
-    the vectorised point-location queries produce.  Identical
-    arithmetic per element, so results match the one-point call
-    bitwise.
+    The batched form for *many points, each against its own
+    triangle* - the shape the vectorised point-location queries
+    produce.
 
     Parameters
     ----------

@@ -30,6 +30,10 @@ that loop (the loops are kept as test oracles):
   shorter than ``sqrt(_EPS)`` projects to its nearer endpoint, and dot
   products go through stacked ``np.matmul``, which computes each one as
   the scalar ``x @ d`` does (``(x * d).sum(-1)`` rounds differently).
+* **Crossings.**  One proper-crossing kernel tests edge pairs a block
+  at a time: the non-adjacent pairs of one loop (is the polygon
+  simple?) or the pairs of different loops (does a hole cross another
+  hole or the outer boundary?).
 """
 
 from __future__ import annotations
@@ -244,35 +248,58 @@ class EdgeTable:
         return out
 
     # ------------------------------------------------------------------
-    # Simplicity
+    # Simplicity and crossings
     # ------------------------------------------------------------------
 
     def self_crossing(self, loop: int = 0) -> bool:
-        """Whether two non-adjacent edges of ``loop`` properly cross.
+        """Whether two non-adjacent edges of ``loop`` properly cross."""
+        lo, hi = int(self.offset[loop]), int(self.offset[loop + 1])
+
+        def allowed(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+            return (j > i + 1) & ~((i == lo) & (j == hi - 1))
+
+        return self._first_crossing(lo, hi, allowed) is not None
+
+    def crossing_loops(self) -> tuple[int, int] | None:
+        """The first two loops with properly crossing edges, or ``None``.
+
+        Every pair of edges of *different* loops is tested; the pairs
+        run in edge order, so the result is the owners of the first
+        crossing pair ``(i, j)``, ``i < j``.
+        """
+        ends = self.offset[1:][self.owner]
+
+        def allowed(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+            return j >= ends[i]
+
+        hit = self._first_crossing(0, len(self), allowed)
+        return None if hit is None else (int(self.owner[hit[0]]), int(self.owner[hit[1]]))
+
+    def _first_crossing(self, lo: int, hi: int, allowed) -> tuple[int, int] | None:
+        """First edge pair ``(i, j)`` in ``[lo, hi)`` that ``allowed(i, j)``
+        admits and that properly crosses, in row-major order.
 
         Applies :func:`~repro.geometry.segment.segments_properly_cross`
         (with :func:`~repro.geometry.segment.orientation`'s tolerance)
-        to every pair at once.
+        to every admitted pair, ``_BLOCK_CELLS`` pairs at a time.
         """
-        lo, hi = int(self.offset[loop]), int(self.offset[loop + 1])
         n = hi - lo
-        a1, a2 = self.start[lo:hi], self.end[lo:hi]
         rows = max(1, _BLOCK_CELLS // max(1, n))
-        j = np.arange(n)
-        for i0 in range(0, n, rows):
-            i = np.arange(i0, min(i0 + rows, n))[:, None]
-            ok = (j > i + 1) & ~((i == 0) & (j == n - 1))
-            ii, jj = np.nonzero(ok)
-            ii = ii + i0
-            p1, p2, q1, q2 = a1[ii], a2[ii], a1[jj], a2[jj]
+        j = np.arange(lo, hi)
+        for i0 in range(lo, hi, rows):
+            i = np.arange(i0, min(i0 + rows, hi))[:, None]
+            ii, jj = np.nonzero(allowed(i, j[None, :]))
+            ii, jj = ii + i0, jj + lo
+            p1, p2, q1, q2 = self.start[ii], self.end[ii], self.start[jj], self.end[jj]
             o1 = _orientations(p1, p2, q1)
             o2 = _orientations(p1, p2, q2)
             o3 = _orientations(q1, q2, p1)
             o4 = _orientations(q1, q2, p2)
             cross = (o1 != 0) & (o2 != 0) & (o3 != 0) & (o4 != 0) & (o1 != o2) & (o3 != o4)
             if cross.any():
-                return True
-        return False
+                k = int(np.argmax(cross))
+                return int(ii[k]), int(jj[k])
+        return None
 
 
 def _orientations(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

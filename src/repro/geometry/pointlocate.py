@@ -1,16 +1,18 @@
-"""Spatial index for point-in-triangle location queries.
+"""Batch point-in-triangle location.
 
 The induced harmonic map must locate, for every robot, the grid
 triangle of the target FoI's disk embedding that contains the robot's
-(rotated) disk position.  A uniform bucket grid over the triangle
-bounding boxes turns each query into a handful of barycentric tests.
-
-The bucket table is built with vectorised numpy (no per-triangle
-Python loops), and :meth:`TriangleLocator.locate_many` /
+(rotated) disk position (Sec. III-B), and pick the nearest grid
+triangle when a robot lands outside every triangle.  A uniform bucket
+grid over the triangle bounding boxes, built with vectorised numpy,
+turns each query into a handful of barycentric tests;
+:meth:`TriangleLocator.locate_many` and
 :meth:`TriangleLocator.locate_nearest_many` answer *all* query points
-of a batch in a handful of array operations - the swarm-scale path the
-induced map uses.  The batch results are bitwise-identical to the
-corresponding sequence of single-point calls.
+of a batch in a few array operations.  Misses go to
+:func:`repro.geometry.vec.nearest_index` over the triangle centroids.
+
+There is no single-point API: the per-point rules survive only as the
+test oracle, which the batch results match bitwise.
 """
 
 from __future__ import annotations
@@ -18,16 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.barycentric import (
-    barycentric_coords_many,
-    barycentric_coords_paired,
-)
-from repro.geometry.vec import as_point, as_points, expand_ragged
+from repro.geometry.barycentric import barycentric_coords_paired
+from repro.geometry.vec import as_points, expand_ragged, nearest_index
 
 __all__ = ["TriangleLocator"]
-
-# Row budget per chunk of the dense miss-recovery distance matrix.
-_NEAREST_CHUNK_ELEMENTS = 4_000_000
 
 
 class TriangleLocator:
@@ -39,11 +35,11 @@ class TriangleLocator:
         Vertex coordinates.
     triangles : (m, 3) int array-like
         Vertex indices of each triangle.
-    resolution : int
-        Number of buckets per axis (default scales with triangle count).
+
+    The bucket grid has ``max(4, isqrt(m))`` buckets per axis.
     """
 
-    def __init__(self, points, triangles, resolution: int | None = None) -> None:
+    def __init__(self, points, triangles) -> None:
         self.points = as_points(points)
         tris = np.asarray(triangles, dtype=int)
         if tris.size == 0:
@@ -58,8 +54,7 @@ class TriangleLocator:
         self._tc = self.points[tris[:, 2]]
         self._centroids = (self._ta + self._tb + self._tc) / 3.0
 
-        if resolution is None:
-            resolution = max(4, int(np.sqrt(len(tris))))
+        resolution = max(4, int(np.sqrt(len(tris))))
         self._res = resolution
         xs = np.stack([self._ta[:, 0], self._tb[:, 0], self._tc[:, 0]])
         ys = np.stack([self._ta[:, 1], self._tb[:, 1], self._tc[:, 1]])
@@ -95,49 +90,23 @@ class TriangleLocator:
         self._bucket_keys, self._bucket_start, self._bucket_count = np.unique(
             sorted_keys, return_index=True, return_counts=True
         )
-        self._buckets = {
-            (int(k) // resolution, int(k) % resolution): self._bucket_tris[s:s + c]
-            for k, s, c in zip(
-                self._bucket_keys, self._bucket_start, self._bucket_count
-            )
-        }
-
-    def _bucket_of(self, p: np.ndarray) -> tuple[int, int]:
-        i = int(np.clip((p[0] - self._xmin) / self._dx, 0, self._res - 1))
-        j = int(np.clip((p[1] - self._ymin) / self._dy, 0, self._res - 1))
-        return i, j
-
-    def locate(self, point, tol: float = 1e-9) -> tuple[int, np.ndarray] | None:
-        """Triangle containing ``point`` and its barycentric coordinates.
-
-        Returns
-        -------
-        (triangle_index, (3,) barycentric array) or ``None`` if the point
-        lies in no triangle (outside the mesh, or in a hole).
-        """
-        p = as_point(point)
-        cand = self._buckets.get(self._bucket_of(p))
-        if cand is None or len(cand) == 0:
-            return None
-        bary = barycentric_coords_many(p, self._ta[cand], self._tb[cand], self._tc[cand])
-        ok = np.all(bary >= -tol, axis=1) & ~np.any(np.isnan(bary), axis=1)
-        hits = np.flatnonzero(ok)
-        if len(hits) == 0:
-            return None
-        # Prefer the most interior hit for points on shared edges.
-        best = hits[np.argmax(bary[hits].min(axis=1))]
-        return int(cand[best]), bary[best]
 
     def locate_many(
         self, points, tol: float = 1e-9
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`locate` over many query points.
+        """The triangle holding each query point, and its barycentrics.
+
+        A triangle holds a point when every barycentric coordinate is
+        ``>= -tol``; among the triangles of the point's bucket that hold
+        it, the most interior one (largest least coordinate) wins, the
+        lowest triangle index on ties - so a point on a shared edge or
+        vertex is located exactly once.
 
         Returns
         -------
         (triangle_indices, barycentric) : ((k,) int ndarray, (k, 3) ndarray)
-            Row ``q`` matches ``locate(points[q])``; misses are marked
-            with triangle index ``-1`` and a ``nan`` barycentric row.
+            Misses (outside the mesh, or in a hole) are marked with
+            triangle index ``-1`` and a ``nan`` barycentric row.
         """
         pts = as_points(points)
         k = len(pts)
@@ -169,7 +138,7 @@ class TriangleLocator:
 
         # First index of the per-query maximum score: segment max, then
         # segment min of the positions attaining it (ties resolve to the
-        # first candidate, matching np.argmax in the scalar path).
+        # first candidate).
         has = counts > 0
         seg_starts = (np.cumsum(counts) - counts)[has]
         seg_max = np.maximum.reduceat(score, seg_starts)
@@ -186,40 +155,20 @@ class TriangleLocator:
         bary_out[rows] = bary[sel]
         return tri_out, bary_out
 
-    def locate_nearest(self, point) -> tuple[int, np.ndarray]:
-        """Like :meth:`locate` but never fails.
-
-        If the point lies in no triangle, the triangle with the nearest
-        centroid is chosen and the barycentric coordinates are clamped
-        to the simplex (renormalised to sum to one), yielding the
-        closest representable point.  This implements the paper's rule
-        that a robot mapped into a hole "simply chooses the nearest grid
-        point" - clamping selects the nearest point of the nearest
-        triangle.
-        """
-        hit = self.locate(point)
-        if hit is not None:
-            return hit
-        p = as_point(point)
-        d = np.hypot(self._centroids[:, 0] - p[0], self._centroids[:, 1] - p[1])
-        t = int(np.argmin(d))
-        bary = barycentric_coords_many(
-            p, self._ta[t : t + 1], self._tb[t : t + 1], self._tc[t : t + 1]
-        )[0]
-        if np.any(np.isnan(bary)):
-            bary = np.array([1.0, 0.0, 0.0])
-        bary = np.clip(bary, 0.0, None)
-        s = bary.sum()
-        bary = bary / s if s > 0 else np.array([1.0, 0.0, 0.0])
-        return t, bary
-
     def locate_nearest_many(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`locate_nearest`: every row resolves to a triangle.
+        """Like :meth:`locate_many`, but every row resolves to a triangle.
+
+        A point that lies in no triangle takes the triangle with the
+        nearest centroid (:func:`~repro.geometry.vec.nearest_index`: the
+        least squared distance, the lowest index on ties), and its
+        barycentric coordinates are clamped to the simplex and
+        renormalised to sum to one, yielding the closest representable
+        point.  This implements the paper's rule that a robot mapped
+        into a hole "simply chooses the nearest grid point".
 
         Returns
         -------
         (triangle_indices, barycentric) : ((k,) int ndarray, (k, 3) ndarray)
-            Row ``q`` matches ``locate_nearest(points[q])`` bitwise.
         """
         pts = as_points(points)
         tri_out, bary_out = self.locate_many(pts)
@@ -228,16 +177,7 @@ class TriangleLocator:
             return tri_out, bary_out
 
         mp = pts[miss]
-        m = len(self._centroids)
-        chunk = max(1, _NEAREST_CHUNK_ELEMENTS // m)
-        nearest = np.empty(len(miss), dtype=np.int64)
-        for s in range(0, len(miss), chunk):
-            block = mp[s:s + chunk]
-            d = np.hypot(
-                self._centroids[None, :, 0] - block[:, 0, None],
-                self._centroids[None, :, 1] - block[:, 1, None],
-            )
-            nearest[s:s + chunk] = np.argmin(d, axis=1)
+        nearest = nearest_index(mp, self._centroids)
         bary = barycentric_coords_paired(
             mp, self._ta[nearest], self._tb[nearest], self._tc[nearest]
         )

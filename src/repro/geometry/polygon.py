@@ -60,8 +60,8 @@ class Polygon:
     ----------
     vertices : (n, 2) array-like
         Polygon boundary in order (either orientation); at least 3
-        non-collinear vertices.  Consecutive duplicate vertices are
-        dropped.
+        non-collinear vertices.  Consecutive duplicate vertices (equal
+        to within ``1e-9`` of the polygon's extent) are dropped.
 
     Raises
     ------
@@ -74,7 +74,11 @@ class Polygon:
     def __init__(self, vertices: Iterable) -> None:
         v = as_points(vertices)
         if len(v) >= 2:
-            v = v[~np.isclose(v, np.roll(v, -1, axis=0), atol=1e-12).all(axis=1)]
+            # Duplicates are judged against the polygon's own extent, so
+            # the verdict does not depend on where the polygon sits.
+            tol = 1e-12 + 1e-9 * float(np.ptp(v, axis=0).max())
+            step = np.abs(v - np.roll(v, -1, axis=0)).max(axis=1)
+            v = v[step > tol]
         if len(v) < 3:
             raise GeometryError("a polygon needs at least 3 distinct vertices")
         a = signed_area(v)

@@ -5,6 +5,10 @@ as numpy arrays of shape ``(2,)`` and point sets as arrays of shape
 ``(n, 2)`` with ``float64`` dtype.  The helpers here normalise inputs to
 that convention and provide the handful of numeric primitives (cross
 products, distances, rotations) that the higher level modules build on.
+
+This is also the one spatial-query module: every KD-tree in the
+library is built here, by :func:`nearest_index` (nearest site per
+point) and :func:`neighbor_pairs` (candidate pairs within a radius).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "angle_of",
     "expand_ragged",
     "nearest_index",
+    "neighbor_pairs",
 ]
 
 # A KD-tree's two candidates decide a point's nearest site only when the
@@ -38,6 +43,11 @@ __all__ = [
 # relative band - far wider than the few-ulp disagreement between the
 # tree's distances and the oracle's.  Anything closer is a (near-)tie.
 _NEAREST_BAND = 1e-9
+
+# ``neighbor_pairs`` asks the KD-tree for pairs within the radius
+# widened by this relative slack, so that the tree's own distance
+# rounding can never drop a pair the caller's exact test would keep.
+_PAIR_SLACK = 1e-9
 
 # Rows handed to the dense oracle are processed in chunks of about this
 # many point-site pairs, so a tie-heavy input never materialises the
@@ -246,3 +256,17 @@ def nearest_index(points, sites) -> np.ndarray:
         chunk = rows[k:k + step]
         out[chunk] = _nearest_index_dense(pts[chunk], st)
     return out
+
+
+def neighbor_pairs(points, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, ``i < j``, that may lie within ``radius``.
+
+    A documented superset of the in-range pairs: one KD-tree
+    ``query_pairs`` call at ``radius * (1 + 1e-9)``, so every pair whose
+    distance is at most ``radius`` under any few-ulp evaluation is
+    present, plus possibly pairs just outside.  Callers apply their own
+    exact predicate to the returned pairs; time and memory are
+    ``O(n log n + pairs)``.  The pairs come in no particular order.
+    """
+    pairs = cKDTree(as_points(points)).query_pairs(radius * (1.0 + _PAIR_SLACK), output_type="ndarray")
+    return pairs[:, 0], pairs[:, 1]

@@ -28,8 +28,6 @@ test pins this).
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Callable
 
 import numpy as np
@@ -37,6 +35,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.errors import MappingError
+from repro.exec.cache import LRUCache, stable_hash
 from repro.mesh.trimesh import TriMesh
 from repro.obs import get_metrics, span
 
@@ -53,19 +52,15 @@ __all__ = [
 # suffices; the SuperLU objects it holds are the expensive part of a
 # solve and are pure functions of the matrix.
 FACTORIZATION_CACHE_CAPACITY = 16
-_factor_cache: "OrderedDict[str, Callable[[np.ndarray], np.ndarray]]" = OrderedDict()
-_factor_lock = threading.Lock()
+_factor_cache = LRUCache(FACTORIZATION_CACHE_CAPACITY)
 
 
 def clear_factorization_cache() -> None:
     """Drop all cached LU factorizations (tests / memory pressure)."""
-    with _factor_lock:
-        _factor_cache.clear()
+    _factor_cache.clear()
 
 
 def _laplacian_key(mat: sp.csc_matrix) -> str:
-    from repro.exec.cache import stable_hash
-
     return stable_hash(
         "tutte-laplacian",
         int(mat.shape[0]),
@@ -78,20 +73,13 @@ def _laplacian_key(mat: sp.csc_matrix) -> str:
 def _factorized_solver(mat: sp.csc_matrix) -> tuple[Callable, str]:
     """LU solve closure for ``mat``, reused across equal-content calls."""
     key = _laplacian_key(mat)
-    with _factor_lock:
-        solver = _factor_cache.get(key)
-        if solver is not None:
-            _factor_cache.move_to_end(key)
+    solver = _factor_cache.get(key)
     if solver is not None:
         get_metrics().counter("cache.harmonic_factorization.hits").inc()
         return solver, "hit"
     solver = spla.factorized(mat)
     get_metrics().counter("cache.harmonic_factorization.misses").inc()
-    with _factor_lock:
-        _factor_cache[key] = solver
-        _factor_cache.move_to_end(key)
-        while len(_factor_cache) > FACTORIZATION_CACHE_CAPACITY:
-            _factor_cache.popitem(last=False)
+    _factor_cache.put(key, solver)
     return solver, "miss"
 
 

@@ -34,21 +34,19 @@ class InducedMap:
         Disk embedding of the target FoI's grid mesh.  The geographic
         image uses the target's *source mesh* coordinates; virtual
         (hole) vertices are handled per Sec. III-D3.
-    memoize : bool
-        Remember :meth:`map_points` results per ``(points, rotation)``
-        (default True).  The rotation search probes the same point set
-        at a handful of angles and the planner re-reads the winning
-        angle afterwards, so at least one probe per plan is a hit; hit
-        and miss counts land in ``cache.induced_map.*`` metrics.
+
+    :meth:`map_points` results are remembered per ``(points, rotation)``:
+    the rotation search probes the same point set at a handful of angles
+    and the planner re-reads the winning angle afterwards, so at least
+    one probe per plan is a hit; hit and miss counts land in
+    ``cache.induced_map.*`` metrics.
     """
 
-    def __init__(self, target: DiskMap, memoize: bool = True) -> None:
+    def __init__(self, target: DiskMap) -> None:
         self.target = target
         filled = target.filled
         self._is_virtual = filled.is_virtual
-        self._memo: dict[tuple[bytes, float], np.ndarray] | None = (
-            {} if memoize else None
-        )
+        self._memo: dict[tuple[bytes, float], np.ndarray] = {}
         # Geographic coordinates per filled vertex; virtual vertices get
         # their hole-centroid position only as a fallback anchor.
         geo = np.zeros((filled.mesh.vertex_count, 2))
@@ -56,27 +54,6 @@ class InducedMap:
         for v in filled.virtual_vertices:
             geo[v] = filled.mesh.vertices[v]
         self._geo = geo
-
-    def map_point(self, disk_point) -> np.ndarray:
-        """Geographic image of one disk-space point."""
-        tri_idx, bary = self.target.locator.locate_nearest(disk_point)
-        corners = self.target.filled.mesh.triangles[tri_idx]
-        weights = np.asarray(bary, dtype=float).copy()
-        virtual_mask = self._is_virtual[corners]
-        if virtual_mask.any():
-            weights[virtual_mask] = 0.0
-            s = weights.sum()
-            if s <= 1e-12:
-                # Landed (numerically) on the virtual vertex itself: fall
-                # back to the nearest real corner by disk distance.
-                real = corners[~virtual_mask]
-                if len(real) == 0:
-                    raise MappingError("triangle with no real corner")
-                dp = self.target.disk_positions[real] - np.asarray(disk_point)
-                nearest = real[int(np.argmin(np.hypot(dp[:, 0], dp[:, 1])))]
-                return self._geo[nearest].copy()
-            weights = weights / s
-        return (weights[:, None] * self._geo[corners]).sum(axis=0)
 
     def map_points(self, disk_points, rotation: float = 0.0) -> np.ndarray:
         """Geographic images of many disk points, optionally pre-rotated.
@@ -90,8 +67,6 @@ class InducedMap:
             modified harmonic map's rotation parameter.
         """
         pts = as_points(disk_points)
-        if self._memo is None:
-            return self._map_points_impl(pts, rotation)
         key = (np.ascontiguousarray(pts).tobytes(), float(rotation))
         cached = self._memo.get(key)
         if cached is not None:
@@ -107,9 +82,6 @@ class InducedMap:
             pts = rotate(pts, rotation)
         if len(pts) == 0:
             return np.zeros((0, 2))
-        # Batched point location plus vectorised barycentric transfer;
-        # every arithmetic step mirrors :meth:`map_point` element-wise,
-        # so the rows are bitwise-identical to the per-point loop.
         tri_idx, bary = self.target.locator.locate_nearest_many(pts)
         corners = self.target.filled.mesh.triangles[tri_idx]
         weights = np.asarray(bary, dtype=float).copy()
@@ -123,8 +95,15 @@ class InducedMap:
             renorm = has_virtual & ~degenerate
             weights[renorm] = weights[renorm] / sums[renorm, None]
         result = (weights[:, :, None] * self._geo[corners]).sum(axis=1)
-        for i in np.flatnonzero(degenerate):
-            # Landed (numerically) on a virtual vertex: defer to the
-            # scalar nearest-real-corner fallback for this rare row.
-            result[i] = self.map_point(pts[i])
+        if degenerate.any():
+            # Landed (numerically) on a virtual vertex: take the nearest
+            # real corner by disk distance (the first on ties).
+            rows = np.flatnonzero(degenerate)
+            real = ~virtual[rows]
+            if not real.any(axis=1).all():
+                raise MappingError("triangle with no real corner")
+            dp = self.target.disk_positions[corners[rows]] - pts[rows, None, :]
+            dist = np.where(real, np.hypot(dp[..., 0], dp[..., 1]), np.inf)
+            pick = corners[rows, np.argmin(dist, axis=1)]
+            result[rows] = self._geo[pick]
         return result

@@ -36,6 +36,7 @@ from repro.coverage.density import DensityFunction
 from repro.coverage.lloyd import LloydConfig, run_lloyd
 from repro.errors import PlanningError
 from repro.foi.region import FieldOfInterest
+from repro.geometry.vec import nearest_index
 from repro.harmonic.diskmap import DiskMap, compute_disk_map
 from repro.harmonic.rotation import AngleSearchResult, hierarchical_angle_search
 from repro.harmonic.transfer import InducedMap
@@ -200,9 +201,10 @@ class MarchingPlanner:
         # Stage 3: targets for every robot (escort stragglers outside T).
         q = np.zeros_like(p)
         q[vmap] = targets_t
-        for i in np.flatnonzero(~in_t):
-            ref = self._nearest_in_t(i, p, in_t)
-            q[i] = p[i] + (q[ref] - p[ref])
+        if not in_t.all():
+            # Each straggler copies the displacement of its nearest T robot.
+            ref = np.flatnonzero(in_t)[nearest_index(p[~in_t], p[in_t])]
+            q[~in_t] = p[~in_t] + (q[ref] - p[ref])
         # Robots mapped onto hole-boundary chords may sit marginally
         # inside a hole; project them into the free region.
         q = target_foi.project_inside(q)
@@ -335,15 +337,6 @@ class MarchingPlanner:
         both = in_t[links[:, 0]] & in_t[links[:, 1]]
         sub = links[both]
         return np.column_stack([robot_to_t[sub[:, 0]], robot_to_t[sub[:, 1]]])
-
-    @staticmethod
-    def _nearest_in_t(i: int, p: np.ndarray, in_t: np.ndarray) -> int:
-        """Closest robot that is part of the triangulation."""
-        candidates = np.flatnonzero(in_t)
-        if len(candidates) == 0:
-            raise PlanningError("triangulation contains no robots")
-        d = np.hypot(p[candidates, 0] - p[i, 0], p[candidates, 1] - p[i, 1])
-        return int(candidates[int(np.argmin(d))])
 
     @staticmethod
     def _time_split(march_total: float, adjust_total: float, t_end: float) -> float:

@@ -5,11 +5,13 @@ the communication range ``r_c`` (disk model, Sec. II).  The
 :class:`UnitDiskGraph` snapshot is the basis for neighbour queries,
 link bookkeeping and connectivity checks throughout the library.
 
-Edge construction uses a spatial hash (uniform cell grid with cell size
-equal to the communication range): only points in the same or adjacent
-cells can be within range, so candidate pairs - and therefore time and
-memory - scale with the *output* size instead of ``n^2``.  The old
-dense-distance-matrix construction survives as
+Edge construction takes its candidate pairs from
+:func:`repro.geometry.vec.neighbor_pairs` (one KD-tree ``query_pairs``
+call at a range widened by ``1e-9``), a superset of the in-range pairs,
+so time and memory scale with the *output* size instead of ``n^2``.
+Each candidate is then decided by the exact predicate: squared distance
+away from ``comm_range**2``, the oracle's ``hypot`` within a narrow band
+around it.  The dense-distance-matrix construction survives as
 :func:`_udg_edges_bruteforce`, the oracle the property tests compare
 against; both return bitwise-identical edge arrays.
 """
@@ -21,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.vec import as_points, expand_ragged, pairwise_distances
+from repro.geometry.vec import as_points, neighbor_pairs, pairwise_distances
 from repro.network.graphs import (
     adjacency_from_csr,
     component_labels,
@@ -32,11 +34,6 @@ from repro.network.graphs import (
 __all__ = ["UnitDiskGraph", "udg_edges"]
 
 _EMPTY_EDGES = np.zeros((0, 2), dtype=int)
-
-# Cells are widened by this relative slack so that floating-point
-# rounding in ``floor((x - xmin) / cell)`` can never place two points at
-# distance <= comm_range more than one cell index apart.
-_CELL_SLACK = 1e-9
 
 # Pairs whose squared distance falls within this relative band around
 # ``comm_range**2`` are re-tested with the oracle's exact
@@ -51,7 +48,7 @@ def _udg_edges_bruteforce(positions, comm_range: float) -> np.ndarray:
 
     This is the original implementation: materialises the full pairwise
     distance matrix and masks the upper triangle.  Kept as the ground
-    truth the spatial-hash path must match bitwise.
+    truth the KD-tree path must match bitwise.
     """
     pts = as_points(positions)
     if comm_range <= 0:
@@ -64,109 +61,38 @@ def _udg_edges_bruteforce(positions, comm_range: float) -> np.ndarray:
     return np.column_stack([iu[mask], ju[mask]]).astype(int)
 
 
-def _candidate_pairs(pts: np.ndarray, comm_range: float) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs from the cell grid that could be within range.
-
-    Bins points into cells of width ``comm_range`` (plus fp slack) and
-    emits every pair sharing a cell plus every pair in half-plane
-    neighbouring cells - offsets (0,1), (1,-1), (1,0), (1,1) - so each
-    unordered pair appears exactly once.
-    """
-    n = len(pts)
-    cell = comm_range * (1.0 + _CELL_SLACK)
-    mins = pts.min(axis=0)
-    fij = np.floor((pts - mins) / cell)
-    if float(np.abs(fij).max(initial=0.0)) > 2**31:
-        # Degenerate spread (range tiny vs extent): grid keys would
-        # overflow; almost no pairs survive anyway, brute force is safe.
-        iu, ju = np.triu_indices(n, k=1)
-        return iu.astype(np.int64), ju.astype(np.int64)
-    ci = fij[:, 0].astype(np.int64)
-    cj = fij[:, 1].astype(np.int64)
-    ny = int(cj.max()) + 1
-    key = ci * ny + cj
-
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    uniq, ustart, ucount = np.unique(skey, return_index=True, return_counts=True)
-
-    pair_i: list[np.ndarray] = []
-    pair_j: list[np.ndarray] = []
-
-    # Within-cell pairs: each sorted position pairs with every later
-    # position of its own cell.
-    pos = np.arange(n, dtype=np.int64)
-    group_of_pos = np.repeat(np.arange(len(uniq), dtype=np.int64), ucount)
-    group_end = (ustart + ucount)[group_of_pos]
-    later = group_end - pos - 1
-    if later.sum() > 0:
-        pair_i.append(np.repeat(pos, later))
-        pair_j.append(expand_ragged(pos + 1, later))
-
-    # Cross-cell pairs against the four half-plane neighbour cells.
-    for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
-        if dj == 1:
-            valid = cj[order] + 1 < ny
-        elif dj == -1:
-            valid = cj[order] >= 1
-        else:
-            valid = np.ones(n, dtype=bool)
-        if not valid.any():
-            continue
-        vpos = pos[valid]
-        nkey = skey[valid] + di * ny + dj
-        g = np.searchsorted(uniq, nkey)
-        g_clip = np.minimum(g, len(uniq) - 1)
-        found = uniq[g_clip] == nkey
-        if not found.any():
-            continue
-        vpos = vpos[found]
-        g = g_clip[found]
-        counts = ucount[g]
-        pair_i.append(np.repeat(vpos, counts))
-        pair_j.append(expand_ragged(ustart[g], counts))
-
-    if not pair_i:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    i = order[np.concatenate(pair_i)]
-    j = order[np.concatenate(pair_j)]
-    return i, j
-
-
 def udg_edges(positions, comm_range: float) -> np.ndarray:
     """All undirected links ``(i, j)`` with ``i < j`` within ``comm_range``.
 
-    Returns an ``(m, 2)`` int array (empty when no pair is in range).
-    Built through a spatial hash - ``O(n + candidates)`` time and
-    memory - and bitwise-identical to :func:`_udg_edges_bruteforce`:
-    candidate pairs are filtered on squared distance (no sqrt), with a
-    narrow band around ``comm_range**2`` re-tested using the oracle's
-    exact ``hypot`` predicate.
+    Returns an ``(m, 2)`` int array (empty when no pair is in range),
+    rows sorted.  Candidates come from :func:`neighbor_pairs` -
+    ``O(n log n + candidates)`` time and memory - and the result is
+    bitwise-identical to :func:`_udg_edges_bruteforce`: candidate pairs
+    are filtered on squared distance (no sqrt), with a narrow band
+    around ``comm_range**2`` re-tested using the oracle's exact
+    ``hypot`` predicate.  At a range whose square underflows the
+    relative band means nothing, so every candidate is re-tested there.
     """
     pts = as_points(positions)
     if comm_range <= 0:
         raise GeometryError("communication range must be positive")
     if len(pts) < 2:
         return _EMPTY_EDGES.copy()
-    i, j = _candidate_pairs(pts, comm_range)
-    if len(i) == 0:
-        return _EMPTY_EDGES.copy()
+    i, j = neighbor_pairs(pts, comm_range)
     dx = pts[i, 0] - pts[j, 0]
     dy = pts[i, 1] - pts[j, 1]
     d2 = dx * dx + dy * dy
     r2 = comm_range * comm_range
     within = d2 <= r2 * (1.0 - _BAND)
     band = ~within & (d2 <= r2 * (1.0 + _BAND))
+    if r2 < np.finfo(float).tiny:
+        band[:] = True
     if band.any():
         within[band] = np.hypot(dx[band], dy[band]) <= comm_range
     i = i[within]
     j = j[within]
-    if len(i) == 0:
-        return _EMPTY_EDGES.copy()
-    a = np.minimum(i, j)
-    b = np.maximum(i, j)
-    order = np.lexsort((b, a))
-    return np.column_stack([a[order], b[order]]).astype(int)
+    order = np.lexsort((j, i))
+    return np.column_stack([i[order], j[order]]).astype(int)
 
 
 class UnitDiskGraph:

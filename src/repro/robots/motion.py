@@ -302,10 +302,14 @@ class SwarmTrajectory:
     def then(self, other: "SwarmTrajectory") -> "SwarmTrajectory":
         """Concatenate two trajectories robot-by-robot.
 
-        Each robot's second-leg rows follow its first-leg rows, minus
-        the second leg's first waypoint (the junction).  A robot whose
-        first leg is one waypoint therefore heads for its second leg's
-        next waypoint from the first leg's start time on.
+        Each robot's second-leg rows follow its first-leg rows.  The
+        second leg's first waypoint (the junction) is dropped when its
+        time equals the first leg's last time, to within ``1e-9``;
+        otherwise it is kept, so the robot waits at the junction until
+        the second leg starts.  A robot whose first leg collapsed to one
+        waypoint at the first leg's start time therefore waits there,
+        rather than heading for its second leg's next waypoint from
+        that time on.
 
         Raises
         ------
@@ -322,15 +326,17 @@ class SwarmTrajectory:
         if np.any(other.times[starts] < self.times[ends] - 1e-9):
             raise PlanningError("second path starts before the first ends")
         keep = np.ones(len(other.times), dtype=bool)
-        keep[starts] = False
+        keep[starts] = other.times[starts] > self.times[ends] + 1e-9
+        # Junction rows dropped for the robots before each robot.
+        dropped = np.concatenate([[0], np.cumsum(~keep[starts])])
         r1, r2 = self._robot, other._robot[keep]
-        dest1 = np.arange(len(self.times)) + other.offsets[r1] - r1
-        dest2 = np.flatnonzero(keep) + self.offsets[r2 + 1] - r2 - 1
+        dest1 = np.arange(len(self.times)) + other.offsets[r1] - dropped[r1]
+        dest2 = np.flatnonzero(keep) + self.offsets[r2 + 1] - dropped[r2 + 1]
         size = len(self.times) + len(r2)
         times, xy = np.empty(size), np.empty((size, 2))
         times[dest1], times[dest2] = self.times, other.times[keep]
         xy[dest1], xy[dest2] = self.xy, other.xy[keep]
-        offsets = self.offsets + other.offsets - np.arange(n + 1)
+        offsets = self.offsets + other.offsets - dropped
         return SwarmTrajectory(offsets, times, xy, self.t_start, other.t_end)
 
 

@@ -1,19 +1,25 @@
-"""Per-edge reference for the FoI geometry kernels in ``repro.geometry.edges``.
+"""Scalar references for the batch geometry kernels.
 
-Each function is the scalar or one-polygon-at-a-time loop that
-``Polygon`` and ``FieldOfInterest`` ran before their queries moved onto
-the flat edge table.  The table's verdicts, distances and projections
-must equal these bitwise.
+* Per-edge loops for ``repro.geometry.edges``: each function is the
+  scalar or one-polygon-at-a-time loop that ``Polygon`` and
+  ``FieldOfInterest`` ran before their queries moved onto the flat edge
+  table.  The table's verdicts, distances and projections must equal
+  these bitwise.
+* Per-point rules for ``TriangleLocator.locate_many`` /
+  ``locate_nearest_many`` and ``InducedMap.map_points``: one query
+  point at a time, brute force over every triangle.  The batch results
+  must equal these bitwise.
 """
 
 import numpy as np
 
+from repro.errors import MappingError
 from repro.geometry.segment import (
     points_segments_distance,
     project_point_on_segment,
     segments_properly_cross,
 )
-from repro.geometry.vec import as_point, as_points
+from repro.geometry.vec import _nearest_index_dense, as_point, as_points
 
 
 def boundary_distances(poly, points):
@@ -121,3 +127,98 @@ def is_convex(poly):
         if cr < -1e-9 * max(1.0, poly.perimeter) ** 2:
             return False
     return True
+
+
+def crossing_loops(loops):
+    """First pair of loops (by edge order) with properly crossing edges."""
+    edges = [
+        (k, v[i], v[(i + 1) % len(v)])
+        for k, v in enumerate(loops)
+        for i in range(len(v))
+    ]
+    for i, (ki, a1, a2) in enumerate(edges):
+        for kj, b1, b2 in edges[i + 1:]:
+            if ki != kj and segments_properly_cross(a1, a2, b1, b2):
+                return ki, kj
+    return None
+
+
+def barycentric_many(p, tri_a, tri_b, tri_c):
+    """One point against many triangles, ``nan`` rows for degenerate ones."""
+    p = as_point(p)
+    a, b, c = as_points(tri_a), as_points(tri_b), as_points(tri_c)
+    area2 = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
+        c[:, 0] - a[:, 0]
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (
+            (b[:, 0] - p[0]) * (c[:, 1] - p[1]) - (b[:, 1] - p[1]) * (c[:, 0] - p[0])
+        ) / area2
+        t2 = (
+            (p[0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+            - (p[1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+        ) / area2
+    t1 = np.where(np.abs(area2) < 1e-300, np.nan, t1)
+    t2 = np.where(np.abs(area2) < 1e-300, np.nan, t2)
+    return np.column_stack([t1, t2, 1.0 - t1 - t2])
+
+
+def _corners(vertices, triangles):
+    v, t = as_points(vertices), np.asarray(triangles, dtype=int)
+    return v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+
+
+def locate(vertices, triangles, point, tol=1e-9):
+    """``(triangle, barycentric)`` of the most interior triangle holding
+    ``point`` (the lowest index on ties), or ``None``."""
+    bary = barycentric_many(point, *_corners(vertices, triangles))
+    ok = np.all(bary >= -tol, axis=1) & ~np.any(np.isnan(bary), axis=1)
+    hits = np.flatnonzero(ok)
+    if len(hits) == 0:
+        return None
+    best = hits[np.argmax(bary[hits].min(axis=1))]
+    return int(best), bary[best]
+
+
+def locate_nearest(vertices, triangles, point):
+    """:func:`locate`, or on a miss the triangle with the nearest centroid
+    (least squared distance, lowest index on ties) with its barycentric
+    coordinates clamped to the simplex and renormalised."""
+    hit = locate(vertices, triangles, point)
+    if hit is not None:
+        return hit
+    p = as_point(point)
+    a, b, c = _corners(vertices, triangles)
+    t = int(_nearest_index_dense(p[None, :], (a + b + c) / 3.0)[0])
+    bary = barycentric_many(p, a[t:t + 1], b[t:t + 1], c[t:t + 1])[0]
+    if np.any(np.isnan(bary)):
+        bary = np.array([1.0, 0.0, 0.0])
+    bary = np.clip(bary, 0.0, None)
+    s = bary.sum()
+    return t, (bary / s if s > 0 else np.array([1.0, 0.0, 0.0]))
+
+
+def map_point(disk_map, disk_point):
+    """Geographic image of one disk point under the induced map: drop
+    virtual corners and renormalise; on a virtual vertex itself, the
+    nearest real corner by disk distance (the first on ties)."""
+    filled = disk_map.filled
+    geo = np.zeros((filled.mesh.vertex_count, 2))
+    geo[: filled.original_vertex_count] = disk_map.source.vertices
+    hole_centres = np.asarray(filled.virtual_vertices, dtype=int)
+    geo[hole_centres] = filled.mesh.vertices[hole_centres]
+    tri, bary = locate_nearest(disk_map.disk_positions, filled.mesh.triangles, disk_point)
+    corners = filled.mesh.triangles[tri]
+    weights = np.asarray(bary, dtype=float).copy()
+    virtual = filled.is_virtual[corners]
+    if virtual.any():
+        weights[virtual] = 0.0
+        s = weights.sum()
+        if s <= 1e-12:
+            real = corners[~virtual]
+            if len(real) == 0:
+                raise MappingError("triangle with no real corner")
+            dp = disk_map.disk_positions[real] - np.asarray(disk_point)
+            return geo[real[int(np.argmin(np.hypot(dp[:, 0], dp[:, 1])))]].copy()
+        weights = weights / s
+    return (weights[:, None] * geo[corners]).sum(axis=0)

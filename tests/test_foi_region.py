@@ -8,6 +8,7 @@ from repro.foi import FieldOfInterest, ellipse_polygon
 from repro.geometry import Polygon
 
 OUTER = Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
+OUTER_20 = Polygon([(-10, -10), (10, -10), (10, 10), (-10, 10)])
 
 
 def small_hole(cx=5.0, cy=5.0, r=1.5):
@@ -37,6 +38,21 @@ class TestConstruction:
         holes = [square(4), square(1)]
         with pytest.raises(GeometryError, match="overlap"):
             FieldOfInterest(square(10), [holes[i] for i in order])
+
+    def test_crossing_holes_rejected(self):
+        # Two crossing bars: no vertex of one lies inside the other, yet
+        # they overlap, and the area would read 376 instead of 380.
+        bar = [(-3, -1), (3, -1), (3, 1), (-3, 1)]
+        with pytest.raises(GeometryError, match="holes 0 and 1 overlap"):
+            FieldOfInterest(OUTER_20, [bar, [(y, x) for x, y in bar]])
+
+    def test_hole_crossing_outer_rejected(self):
+        # A bar across the notch of a U: all its vertices lie inside the
+        # U's arms, but its long edges cross the notch's sides.
+        u_shape = [(0, 0), (10, 0), (10, 10), (7, 10), (7, 3), (3, 3), (3, 10), (0, 10)]
+        bar = [(1, 5), (9, 5), (9, 6), (1, 6)]
+        with pytest.raises(GeometryError, match="hole 0 crosses the outer boundary"):
+            FieldOfInterest(u_shape, [bar])
 
     def test_accepts_raw_vertex_arrays(self):
         foi = FieldOfInterest([(0, 0), (4, 0), (4, 4), (0, 4)])

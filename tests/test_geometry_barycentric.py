@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.errors import GeometryError
 from repro.geometry import (
     barycentric_coords,
-    barycentric_coords_many,
+    barycentric_coords_paired,
     from_barycentric,
     point_in_triangle,
     triangle_area,
@@ -86,16 +86,16 @@ class TestVectorisedBarycentric:
         tri_a = rng.uniform(-5, 5, (10, 2))
         tri_b = rng.uniform(-5, 5, (10, 2))
         tri_c = rng.uniform(-5, 5, (10, 2))
-        p = rng.uniform(-5, 5, 2)
-        out = barycentric_coords_many(p, tri_a, tri_b, tri_c)
+        p = rng.uniform(-5, 5, (10, 2))
+        out = barycentric_coords_paired(p, tri_a, tri_b, tri_c)
         for j in range(10):
             if abs(triangle_area(tri_a[j], tri_b[j], tri_c[j])) < 1e-6:
                 continue
-            expected = barycentric_coords(p, tri_a[j], tri_b[j], tri_c[j])
+            expected = barycentric_coords(p[j], tri_a[j], tri_b[j], tri_c[j])
             assert np.allclose(out[j], expected, atol=1e-7)
 
     def test_degenerate_rows_are_nan(self):
-        out = barycentric_coords_many(
-            [0.0, 0.0], [[0, 0]], [[1, 1]], [[2, 2]]
+        out = barycentric_coords_paired(
+            [[0.0, 0.0]], [[0, 0]], [[1, 1]], [[2, 2]]
         )
         assert np.isnan(out).all()

@@ -20,6 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from repro.errors import GeometryError
 from repro.foi import FieldOfInterest
 from repro.geometry import Polygon
+from repro.geometry.edges import EdgeTable
 
 from . import geometry_oracle as oracle
 from .trajectory_oracle import same_bits
@@ -182,18 +183,6 @@ class TestProjection:
         assert same_bits(foi.project_inside(pts), want)
         assert same_bits(foi.boundary_distances(pts), oracle.foi_boundary_distances(foi, pts))
 
-    def test_point_in_two_crossing_holes_uses_the_first(self):
-        # Crossing bars: neither holds a vertex of the other, so the
-        # region is accepted, and (0, 0) lies in both.
-        bar = [(-3, -1), (3, -1), (3, 1), (-3, 1)]
-        foi = FieldOfInterest([(-10, -10), (10, -10), (10, 10), (-10, 10)],
-                              [bar, [(y, x) for x, y in bar]])
-        pts = np.array([[0.0, 0.0], [0.5, 0.25], [-0.25, 0.5]])
-        for p in pts:
-            assert foi.hole_containing(p) == oracle.hole_containing(foi, p) == 0
-        want = np.array([oracle.project_inside(foi, p) for p in pts])
-        assert same_bits(foi.project_inside(pts), want)
-
     def test_tie_between_equidistant_edges_takes_the_first(self):
         outer = [(-10, -10), (10, -10), (10, 10), (-10, 10)]
         hole = [(-1, -1), (1, -1), (1, 1), (-1, 1)]  # centre equidistant from all four
@@ -243,6 +232,29 @@ class TestSimplicity:
 
     def test_bowtie_is_not_simple(self):
         assert not Polygon([(0, 0), (4, 0), (1, 2), (3, 2)]).is_simple()
+
+
+class TestCrossings:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(["square", "diamond", "triangle"]),
+                  st.sampled_from([0.5, 1.0, 2.0]),
+                  st.tuples(st.integers(-3, 3), st.integers(-3, 3))),
+        min_size=1, max_size=4,
+    ))
+    def test_crossing_loops_matches_oracle(self, loops):
+        # Small shapes on a coarse grid cross, touch along shared edges
+        # and share vertices often.
+        polys = [Polygon(_hole(kind, half, centre)) for kind, half, centre in loops]
+        table = EdgeTable(polys)
+        assert table.crossing_loops() == oracle.crossing_loops([p.vertices for p in polys])
+
+    def test_crossing_bars(self):
+        bar = Polygon([(-3, -1), (3, -1), (3, 1), (-3, 1)])
+        cross = Polygon([(-1, -3), (1, -3), (1, 3), (-1, 3)])
+        outer = Polygon([(-10, -10), (10, -10), (10, 10), (-10, 10)])
+        assert EdgeTable([outer, bar, cross]).crossing_loops() == (1, 2)
+        assert EdgeTable([outer, bar]).crossing_loops() is None
 
 
 def _loop_iterables(path):

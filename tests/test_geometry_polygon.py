@@ -23,6 +23,17 @@ class TestConstruction:
         poly = Polygon([(0, 0), (0, 0), (1, 0), (1, 1), (1, 1)])
         assert len(poly) == 3
 
+    def test_duplicates_judged_by_extent_not_position(self):
+        # Far from the origin a relative-to-coordinate tolerance would
+        # call every vertex of this square a duplicate of the next.
+        square = np.array([(0, 0), (10, 0), (10, 10), (0, 10)], dtype=float)
+        for shift in [(0.0, 2e6), (-1e6, 3e6)]:
+            poly = Polygon(square + shift)
+            assert len(poly) == 4
+            assert poly.area == pytest.approx(100.0, abs=1e-2)
+        doubled = np.vstack([square, square[-1:], square[:1]]) + (0.0, 2e6)
+        assert len(Polygon(doubled)) == 4
+
     def test_too_few_vertices(self):
         with pytest.raises(GeometryError):
             Polygon([(0, 0), (1, 1)])

@@ -51,15 +51,14 @@ class TestInducedMap:
         fm, dm = square_induced
         induced = InducedMap(dm)
         base = np.array([0.25, -0.15])
-        img0 = induced.map_point(base)
-        img1 = induced.map_point(base + [1e-4, 0.0])
+        img0, img1 = induced.map_points([base, base + [1e-4, 0.0]])
         # Barycentric interpolation is Lipschitz on the mesh scale.
         assert np.hypot(*(img1 - img0)) < 1.0
 
     def test_point_outside_disk_clamps(self, square_induced):
         fm, dm = square_induced
         induced = InducedMap(dm)
-        img = induced.map_point([2.0, 0.0])
+        img = induced.map_points([[2.0, 0.0]])[0]
         xmin, ymin, xmax, ymax = fm.foi.bounds
         assert xmin - 1e-6 <= img[0] <= xmax + 1e-6
         assert ymin - 1e-6 <= img[1] <= ymax + 1e-6
@@ -72,7 +71,7 @@ class TestInducedMapHoles:
         # The virtual vertex's disk position is the centre of the filled
         # hole; mapping it must land on (or very near) the hole boundary.
         v = dm.filled.virtual_vertices[0]
-        img = induced.map_point(dm.disk_positions[v])
+        img = induced.map_points(dm.disk_positions[[v]])[0]
         hole = holed_foi_mesh.foi.holes[0]
         assert hole.boundary_distance(img) < 3.0  # within a grid cell
 

@@ -22,6 +22,7 @@ from repro.geometry.pointlocate import TriangleLocator
 from repro.harmonic.diskmap import disk_map_cache_key
 from repro.mesh import delaunay_mesh
 from repro.mesh.trimesh import TriMesh
+from tests import geometry_oracle
 
 coord = st.integers(-30, 30)
 ipoint = st.tuples(coord, coord)
@@ -60,11 +61,13 @@ class TestLocateInterpolateRoundTrip:
         w = w / w.sum()
         p = from_barycentric(w, a, b, c)
 
-        locator = TriangleLocator(mesh.vertices, tris)
-        hit = locator.locate(p, tol=1e-9)
+        tri, found = TriangleLocator(mesh.vertices, tris).locate_many(p[None, :], tol=1e-9)
         # p was synthesized inside a triangle, so locate cannot miss.
-        assert hit is not None
-        tri_idx, bary = hit
+        assert tri[0] >= 0
+        tri_idx, bary = int(tri[0]), found[0]
+        hit = geometry_oracle.locate(mesh.vertices, tris, p)
+        assert hit is not None and hit[0] == tri_idx
+        assert np.array_equal(hit[1], bary)
         oracle = [
             t
             for t in range(len(tris))
@@ -84,9 +87,9 @@ class TestLocateInterpolateRoundTrip:
         mesh = _mesh_from(pts)
         locator = TriangleLocator(mesh.vertices, mesh.triangles)
         v = int(np.unique(mesh.triangles)[0])
-        hit = locator.locate(mesh.vertices[v], tol=1e-9)
-        assert hit is not None
-        tri_idx, bary = hit
+        tri, found = locator.locate_many(mesh.vertices[v][None, :], tol=1e-9)
+        assert tri[0] >= 0
+        tri_idx, bary = int(tri[0]), found[0]
         # A triangulation vertex can only lie in triangles that have it
         # as a corner, where one barycentric coordinate is 1.
         assert v in mesh.triangles[tri_idx]

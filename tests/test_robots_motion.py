@@ -154,6 +154,17 @@ class TestSwarmTrajectory:
         assert joined.duration == pytest.approx(2.0)
         assert joined.total_distance() == pytest.approx(20.0 + 20.0)
 
+    def test_then_waits_after_collapsed_leg(self):
+        # The first leg collapses to one waypoint at t = 0; the robot
+        # must wait at the junction until the second leg starts at 0.5.
+        first = straight_transition([[0, 0]], [[0, 0]], 0.0, 0.5)
+        second = straight_transition([[0, 0]], [[1, 0]], 0.5, 1.0)
+        joined = first.then(second)
+        assert np.array_equal(joined.positions_at(0.25), [[0.0, 0.0]])
+        assert np.array_equal(joined.positions_at(0.5), [[0.0, 0.0]])
+        assert np.allclose(joined.positions_at(0.75), [[0.5, 0.0]])
+        assert joined.times.tolist() == [0.0, 0.5, 1.0]
+
     def test_then_count_mismatch(self):
         first = self._simple()
         second = straight_transition([[10, 0]], [[0, 0]], 1.0, 2.0)
@@ -300,7 +311,7 @@ class TestAgainstPerRobotOracle:
             assert oracle.same_bits(xy, w_xy) and oracle.same_bits(times, w_times)
 
         # A second leg from where each robot stopped (a collapsed first
-        # leg makes the robot start its second leg at the first's start).
+        # leg makes the robot wait there until the second leg starts).
         legs = [data.draw(robot(start=split)) for _ in polylines]
         legs = [
             (np.vstack([p[-1:], xy]), np.concatenate([[split], t]))

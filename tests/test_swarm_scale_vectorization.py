@@ -1,7 +1,7 @@
 """Swarm-scale vectorization: bitwise equivalence and scaling guards.
 
 Every vectorised fast path introduced for large swarms - the
-spatial-hash unit-disk graph, CSR adjacency, factorization-reusing
+KD-tree unit-disk graph, CSR adjacency, factorization-reusing
 harmonic solves, batch point location, batch induced-map transfer,
 vectorised trajectory sampling, the KD-tree nearest-site assignment and
 the CSR connectivity-safe Lloyd step - must produce *bitwise-identical*
@@ -10,6 +10,7 @@ that contract.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,7 +36,6 @@ from repro.experiments.scaling import (
     synthetic_swarm_positions,
 )
 from repro.geometry import TriangleLocator, barycentric_coords_paired
-from repro.geometry.barycentric import barycentric_coords_many
 from repro.geometry.vec import (
     _nearest_index_dense,
     as_points,
@@ -54,6 +54,7 @@ from repro.network import UnitDiskGraph, udg_edges
 from repro.network.udg import _udg_edges_bruteforce
 from repro.obs import Metrics, activate_metrics
 from repro.robots.motion import SwarmTrajectory
+from tests import geometry_oracle
 from tests import trajectory_oracle as oracle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -110,9 +111,18 @@ class TestSpatialHashUdg:
         assert len(fast) == 25 * 24 // 2
 
     def test_huge_coordinate_spread(self):
-        # Forces the int-overflow fallback of the cell indexer.
+        # Coordinates far apart at a small range: one pair in range.
         pts = np.array([[0.0, 0.0], [1e18, 1e18], [0.5, 0.5], [1.0, 0.0]])
         assert np.array_equal(udg_edges(pts, 1.2), _udg_edges_bruteforce(pts, 1.2))
+
+    def test_range_whose_square_underflows(self):
+        # r**2 is 0, so the squared-distance shortcut cannot decide any
+        # pair; hypot must.
+        r = 1e-201
+        pts = np.array([[0.0, 0.0], [1.5 * r, 0.0], [0.0, 0.5 * r], [0.0, 3.0 * r]])
+        fast = udg_edges(pts, r)
+        assert np.array_equal(fast, _udg_edges_bruteforce(pts, r))
+        assert fast.tolist() == [[0, 2]]
 
     def test_10k_fast_and_identical_at_1k(self):
         pts = synthetic_swarm_positions(1_000, comm_range=80.0, seed=3)
@@ -210,7 +220,7 @@ class TestBatchPointLocation:
         q = rng.uniform(-7, 7, size=(int(rng.integers(1, 80)), 2))
         tri, bary = locator.locate_many(q)
         for i, p in enumerate(q):
-            hit = locator.locate(p)
+            hit = geometry_oracle.locate(locator.points, locator.triangles, p)
             if hit is None:
                 assert tri[i] == -1
                 assert np.all(np.isnan(bary[i]))
@@ -225,7 +235,7 @@ class TestBatchPointLocation:
         q = rng.uniform(-9, 9, size=(int(rng.integers(1, 80)), 2))
         tri, bary = locator.locate_nearest_many(q)
         for i, p in enumerate(q):
-            t, b = locator.locate_nearest(p)
+            t, b = geometry_oracle.locate_nearest(locator.points, locator.triangles, p)
             assert tri[i] == t
             assert np.array_equal(bary[i], b)
 
@@ -234,7 +244,7 @@ class TestBatchPointLocation:
         tri, bary = locator.locate_many(pts)
         assert np.all(tri >= 0)
         for i, p in enumerate(pts):
-            hit = locator.locate(p)
+            hit = geometry_oracle.locate(locator.points, locator.triangles, p)
             assert hit is not None and tri[i] == hit[0]
             assert np.array_equal(bary[i], hit[1])
 
@@ -252,41 +262,48 @@ class TestBatchPointLocation:
         p = rng.uniform(-1, 1, size=(40, 2))
         paired = barycentric_coords_paired(p, a, b, c)
         for k in range(40):
-            row = barycentric_coords_many(
+            row = geometry_oracle.barycentric_many(
                 p[k], a[k : k + 1], b[k : k + 1], c[k : k + 1]
             )[0]
             assert np.array_equal(paired[k], row)
 
 
 class TestBatchInducedMap:
+    def queries(self, dm, rng):
+        """Random disk points, points outside the disk, mesh vertices
+        (virtual ones included) and points on mesh edges."""
+        v, t = dm.disk_positions, dm.filled.mesh.triangles
+        w = rng.uniform(0, 1, (len(t), 1))
+        return np.vstack([
+            rng.uniform(-1.1, 1.1, size=(60, 2)),
+            rng.uniform(-3.0, 3.0, size=(20, 2)),
+            v,
+            w * v[t[:, 0]] + (1 - w) * v[t[:, 1]],
+        ])
+
     def test_matches_scalar_map_point(self, holed_foi_mesh, rng):
         dm = compute_disk_map(holed_foi_mesh.mesh)
-        induced = InducedMap(dm, memoize=False)
-        pts = rng.uniform(-1.1, 1.1, size=(60, 2))
-        virtual = dm.filled.virtual_vertices
-        if len(virtual):
-            pts = np.vstack([pts, dm.filled.mesh.vertices[virtual]])
-        batch = induced.map_points(pts)
-        scalar = np.array([induced.map_point(p) for p in pts])
+        assert len(dm.filled.virtual_vertices)
+        pts = self.queries(dm, rng)
+        batch = InducedMap(dm).map_points(pts)
+        scalar = np.array([geometry_oracle.map_point(dm, p) for p in pts])
         assert np.array_equal(batch, scalar)
 
     def test_rotation_matches_scalar(self, holed_foi_mesh, rng):
         from repro.geometry.vec import rotate
 
         dm = compute_disk_map(holed_foi_mesh.mesh)
-        induced = InducedMap(dm, memoize=False)
         pts = rng.uniform(-0.9, 0.9, size=(30, 2))
         theta = 1.234
-        batch = induced.map_points(pts, rotation=theta)
+        batch = InducedMap(dm).map_points(pts, rotation=theta)
         scalar = np.array(
-            [induced.map_point(p) for p in rotate(pts, theta)]
+            [geometry_oracle.map_point(dm, p) for p in rotate(pts, theta)]
         )
         assert np.array_equal(batch, scalar)
 
     def test_empty_batch(self, square_foi_mesh):
         dm = compute_disk_map(square_foi_mesh.mesh)
-        induced = InducedMap(dm, memoize=False)
-        assert induced.map_points(np.zeros((0, 2))).shape == (0, 2)
+        assert InducedMap(dm).map_points(np.zeros((0, 2))).shape == (0, 2)
 
 
 class TestVectorizedTrajectorySampling:
@@ -635,3 +652,28 @@ def test_10k_robot_lloyd_memory_bounded():
     assert result.returncode == 0, result.stderr[-2000:]
     peak_mb = int(result.stdout.split()[-1]) / 1024.0  # ru_maxrss is KiB on Linux
     assert peak_mb < 500.0
+
+
+def test_one_spatial_query_layer():
+    """``geometry/vec.py`` is the only module that builds a KD-tree; the
+    unit-disk cell grid and the single-point locator twins stay gone."""
+    sources = {
+        str(path.relative_to(SRC / "repro")): path.read_text()
+        for path in (SRC / "repro").rglob("*.py")
+    }
+    patterns = [
+        r"cKDTree",
+        r"_candidate_pairs",
+        r"def locate\(",
+        r"def locate_nearest\(",
+        r"def map_point\(",
+        r"barycentric_coords_many",
+    ]
+    found = {
+        pattern: sorted(name for name, text in sources.items() if re.search(pattern, text))
+        for pattern in patterns
+    }
+    assert found == {
+        **{pattern: [] for pattern in patterns},
+        r"cKDTree": ["geometry/vec.py"],
+    }

@@ -102,6 +102,9 @@ def discontinuities(xy, times):
 
 
 def then(first, second):
-    """One robot's joined ``(xy, times)``: the second leg minus its first row."""
+    """One robot's joined ``(xy, times)``: the second leg minus its first
+    row, unless that row starts more than ``1e-9`` after the first leg
+    ends (the robot then waits at the junction)."""
     (xy1, t1), (xy2, t2) = first, second
-    return np.vstack([xy1, xy2[1:]]), np.concatenate([t1, t2[1:]])
+    skip = 0 if t2[0] > t1[-1] + 1e-9 else 1
+    return np.vstack([xy1, xy2[skip:]]), np.concatenate([t1, t2[skip:]])
