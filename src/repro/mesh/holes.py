@@ -95,14 +95,11 @@ def fill_holes(mesh: TriMesh) -> FilledMesh:
         # centroid positively.
         if signed_area(mesh.vertices[loop_arr]) < 0:
             loop_arr = loop_arr[::-1]
-        fans = np.array(
-            [
-                [loop_arr[i], loop_arr[(i + 1) % len(loop_arr)], next_idx]
-                for i in range(len(loop_arr))
-            ],
-            dtype=int,
+        triangles.append(
+            np.column_stack(
+                [loop_arr, np.roll(loop_arr, -1), np.full(len(loop_arr), next_idx)]
+            )
         )
-        triangles.append(fans)
         virtual.append(next_idx)
         next_idx += 1
     filled = TriMesh(np.vstack(vertices), np.vstack(triangles))

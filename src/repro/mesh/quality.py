@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mesh.trimesh import TriMesh
+from repro.mesh.trimesh import TriMesh, doubled_areas
 
 __all__ = ["triangle_angles", "min_angle", "QualityReport", "quality_report", "orientation_signs"]
 
@@ -47,13 +47,7 @@ def orientation_signs(mesh: TriMesh) -> np.ndarray:
     A valid (fold-free) embedding has all signs positive once triangles
     were CCW in the reference mesh.
     """
-    a = mesh.vertices[mesh.triangles[:, 0]]
-    b = mesh.vertices[mesh.triangles[:, 1]]
-    c = mesh.vertices[mesh.triangles[:, 2]]
-    area2 = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-        c[:, 0] - a[:, 0]
-    )
-    return np.sign(area2).astype(int)
+    return np.sign(doubled_areas(mesh.vertices, mesh.triangles)).astype(int)
 
 
 @dataclass(frozen=True)

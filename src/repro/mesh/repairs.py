@@ -32,16 +32,17 @@ def _fan_labels(mesh: TriMesh) -> np.ndarray:
     # Imported here: repro.network imports repro.mesh.
     from repro.network.graphs import component_labels
 
-    tris = mesh.triangles
-    t0, t1, v = np.array(
-        [(ts[0], t, v) for edge, ts in mesh.edge_triangles.items() for t in ts[1:] for v in edge],
-        dtype=np.int64,
-    ).reshape(-1, 3).T
-
-    def corner(t: np.ndarray) -> np.ndarray:
-        return 3 * t + np.argmax(tris[t] == v[:, None], axis=1)
-
-    return component_labels(3 * len(tris), np.column_stack([corner(t0), corner(t1)]))
+    # Side s runs from corner s to the next corner of its triangle, n;
+    # sides on one edge run the same way (join s-s, n-n) or opposite ways.
+    s0, s1 = mesh.side_pairs.T
+    n0, n1 = s0 + 1 - 3 * (s0 % 3 == 2), s1 + 1 - 3 * (s1 % 3 == 2)
+    flat = mesh.triangles.ravel()
+    same = flat[s0] == flat[s1]
+    pairs = np.concatenate([
+        np.column_stack([s0, np.where(same, s1, n1)]),
+        np.column_stack([n0, np.where(same, n1, s1)]),
+    ])
+    return component_labels(len(flat), pairs)
 
 
 def vertex_fans(mesh: TriMesh, vertex: int) -> list[list[int]]:

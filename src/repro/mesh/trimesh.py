@@ -6,12 +6,14 @@ triangulation of the target FoI.  Both need the same queries: vertex
 adjacency, boundary edges ("a boundary edge incidents with only one
 triangle", Sec. III-B), ordered boundary loops, and structural
 validation.  :class:`TriMesh` provides them over plain numpy arrays.
+
+Every topology query reads one *side table* (:func:`side_table`): per
+triangle side, its edge; per edge, how many sides lie on it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -19,17 +21,47 @@ from repro.errors import MeshError
 from repro.geometry.polygon import signed_area
 from repro.geometry.vec import as_points
 
-__all__ = ["TriMesh", "edges_of_triangles"]
+__all__ = ["TriMesh", "area_scale", "doubled_areas", "edges_of_triangles", "side_table"]
+
+
+def side_table(triangles: np.ndarray, vertex_count: int):
+    """``(edges, side_edge, side_count)`` of a ``(m, 3)`` triangle array.
+
+    ``edges`` are the unique undirected edges ``(u, v)``, ``u < v``, in
+    lexicographic order; ``side_edge[3 * t + k]`` is the index in
+    ``edges`` of triangle ``t``'s side from corner ``k`` to corner
+    ``(k + 1) % 3``; ``side_count[e]`` counts the sides on edge ``e``.
+    """
+    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    u, v = tris.ravel(), np.roll(tris, -1, axis=1).ravel()
+    n = max(int(vertex_count), 1)
+    keys, side_edge, side_count = np.unique(
+        np.minimum(u, v) * n + np.maximum(u, v), return_inverse=True, return_counts=True
+    )
+    return np.column_stack([keys // n, keys % n]), side_edge, side_count
 
 
 def edges_of_triangles(triangles: np.ndarray) -> np.ndarray:
     """Unique undirected edges ``(u, v)`` with ``u < v`` of a triangle array."""
     tris = np.asarray(triangles, dtype=int)
-    if tris.size == 0:
-        return np.zeros((0, 2), dtype=int)
-    e = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    e.sort(axis=1)
-    return np.unique(e, axis=0)
+    return side_table(tris, tris.max() + 1 if tris.size else 0)[0]
+
+
+def doubled_areas(vertices: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Twice the signed area of every triangle, positive when counter-clockwise."""
+    a, b, c = (vertices[triangles[:, k]] for k in range(3))
+    return (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
+        c[:, 0] - a[:, 0]
+    )
+
+
+def area_scale(vertices: np.ndarray) -> float:
+    """Squared extent of a vertex set, at least 1.
+
+    Doubled areas are judged degenerate against this, so the verdict
+    depends on the mesh's own size, not on where it sits.
+    """
+    return max(1.0, float(np.ptp(vertices, axis=0).max()) ** 2)
 
 
 class TriMesh:
@@ -46,7 +78,8 @@ class TriMesh:
     ------
     MeshError
         On out-of-range indices, repeated vertices within a triangle,
-        or (numerically) degenerate triangles.
+        or (numerically) degenerate triangles: doubled area below
+        ``1e-14`` times :func:`area_scale` of the vertices.
     """
 
     def __init__(self, vertices, triangles) -> None:
@@ -69,14 +102,8 @@ class TriMesh:
                 raise MeshError(f"triangle {t.tolist()} repeats a vertex")
         # Orient all triangles counter-clockwise.
         if len(tris):
-            a = self.vertices[tris[:, 0]]
-            b = self.vertices[tris[:, 1]]
-            c = self.vertices[tris[:, 2]]
-            area2 = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-                c[:, 0] - a[:, 0]
-            )
-            scale = max(1.0, float(np.abs(self.vertices).max()) ** 2)
-            if np.any(np.abs(area2) < 1e-14 * scale):
+            area2 = doubled_areas(self.vertices, tris)
+            if np.any(np.abs(area2) < 1e-14 * area_scale(self.vertices)):
                 bad = int(np.argmin(np.abs(area2)))
                 raise MeshError(f"triangle {tris[bad].tolist()} is degenerate")
             flip = area2 < 0
@@ -109,19 +136,35 @@ class TriMesh:
     # ------------------------------------------------------------------
 
     @cached_property
+    def _sides(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return side_table(self.triangles, self.vertex_count)
+
+    @property
     def edges(self) -> np.ndarray:
         """Unique undirected edges, each as ``(u, v)`` with ``u < v``."""
-        return edges_of_triangles(self.triangles)
+        return self._sides[0]
+
+    @property
+    def side_edge(self) -> np.ndarray:
+        """Index in :attr:`edges` of side ``3 * t + k``: triangle ``t``'s
+        edge from corner ``k`` to corner ``(k + 1) % 3``."""
+        return self._sides[1]
+
+    @property
+    def edge_side_count(self) -> np.ndarray:
+        """Number of triangle sides on each edge, aligned with :attr:`edges`."""
+        return self._sides[2]
 
     @cached_property
-    def edge_triangles(self) -> dict[tuple[int, int], list[int]]:
-        """Mapping from undirected edge to the indices of incident triangles."""
-        mapping: dict[tuple[int, int], list[int]] = {}
-        for t_idx, (a, b, c) in enumerate(self.triangles):
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                mapping.setdefault(key, []).append(t_idx)
-        return mapping
+    def side_pairs(self) -> np.ndarray:
+        """``(p, 2)`` pairs of sides on one edge, consecutive in side order.
+
+        Every edge with ``c`` sides gives ``c - 1`` pairs, which link all
+        its sides; the triangles of a pair are ``pair // 3``.
+        """
+        order = np.argsort(self.side_edge, kind="stable")
+        same = self.side_edge[order[1:]] == self.side_edge[order[:-1]]
+        return np.column_stack([order[:-1][same], order[1:][same]])
 
     @cached_property
     def adjacency_csr(self) -> tuple[np.ndarray, np.ndarray]:
@@ -151,44 +194,33 @@ class TriMesh:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    @cached_property
-    def vertex_triangles(self) -> list[list[int]]:
-        """Per-vertex list of incident triangle indices."""
-        vt: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for t_idx, tri in enumerate(self.triangles):
-            for v in tri:
-                vt[int(v)].append(t_idx)
-        return vt
-
     # ------------------------------------------------------------------
     # Boundary
     # ------------------------------------------------------------------
 
     @cached_property
-    def boundary_edges(self) -> list[tuple[int, int]]:
-        """Edges incident to exactly one triangle."""
-        return [e for e, ts in self.edge_triangles.items() if len(ts) == 1]
+    def boundary_edges(self) -> np.ndarray:
+        """``(b, 2)`` edges incident to exactly one triangle, ``u < v``,
+        in the order of their sides."""
+        e = self.side_edge
+        return self.edges[e[self.edge_side_count[e] == 1]]
 
     @cached_property
     def boundary_vertices(self) -> np.ndarray:
         """Sorted indices of vertices on any boundary loop."""
-        verts: set[int] = set()
-        for u, v in self.boundary_edges:
-            verts.add(u)
-            verts.add(v)
-        return np.array(sorted(verts), dtype=int)
+        return np.unique(self.boundary_edges)
 
     @cached_property
     def interior_vertices(self) -> np.ndarray:
         """Sorted indices of vertices not on any boundary."""
-        b = set(self.boundary_vertices.tolist())
-        return np.array([v for v in range(self.vertex_count) if v not in b], dtype=int)
+        return np.setdiff1d(np.arange(self.vertex_count), self.boundary_vertices)
 
     @cached_property
     def boundary_loops(self) -> list[list[int]]:
         """Closed boundary loops as ordered vertex-index lists.
 
-        Each loop is ordered by walking boundary edges; the first loop
+        Each loop starts at its lowest vertex and first steps across
+        that vertex's lowest-numbered boundary side; the first loop
         returned is the outer boundary (largest absolute enclosed
         area), the rest are hole loops.
 
@@ -199,32 +231,31 @@ class TriMesh:
             a vertex with more than two incident boundary edges, which
             indicates a non-manifold pinch).
         """
-        incident: dict[int, list[int]] = {}
-        for u, v in self.boundary_edges:
-            incident.setdefault(u, []).append(v)
-            incident.setdefault(v, []).append(u)
-        for v, nbrs in incident.items():
-            if len(nbrs) != 2:
-                raise MeshError(
-                    f"boundary vertex {v} has {len(nbrs)} boundary edges; "
-                    "mesh is pinched (non-manifold boundary)"
-                )
+        ends = self.boundary_edges.ravel()
+        counts = np.bincount(ends, minlength=self.vertex_count)[ends]
+        if np.any(counts != 2):
+            bad = int(np.argmax(counts != 2))
+            raise MeshError(
+                f"boundary vertex {ends[bad]} has {counts[bad]} boundary edges; "
+                "mesh is pinched (non-manifold boundary)"
+            )
+        # Each boundary vertex's two neighbours, across its lower side first.
+        order = np.argsort(ends, kind="stable")
+        across = self.boundary_edges[:, ::-1].ravel()[order]
+        step = dict(
+            zip(ends[order][::2].tolist(), zip(across[::2].tolist(), across[1::2].tolist()))
+        )
         loops: list[list[int]] = []
         visited: set[int] = set()
-        for start in sorted(incident):
+        for start in step:  # ascending, so each loop starts at its lowest vertex
             if start in visited:
                 continue
-            loop = [start]
-            visited.add(start)
-            prev, cur = None, start
-            while True:
-                nxt_candidates = [w for w in incident[cur] if w != prev]
-                nxt = nxt_candidates[0]
-                if nxt == start:
-                    break
-                loop.append(nxt)
-                visited.add(nxt)
-                prev, cur = cur, nxt
+            loop, prev, cur = [start], start, step[start][0]
+            while cur != start:
+                loop.append(cur)
+                a, b = step[cur]
+                prev, cur = cur, (a if a != prev else b)
+            visited.update(loop)
             loops.append(loop)
         loops.sort(
             key=lambda lp: abs(signed_area(self.vertices[np.array(lp)])), reverse=True
@@ -284,8 +315,8 @@ class TriMesh:
             )
         return TriMesh(new_v, self.triangles)
 
-    def submesh(self, triangle_indices: Iterable[int]) -> tuple["TriMesh", np.ndarray]:
-        """Mesh restricted to the given triangles.
+    def submesh(self, triangle_indices) -> tuple["TriMesh", np.ndarray]:
+        """Mesh restricted to the given triangles (an int array-like).
 
         Returns
         -------
@@ -293,7 +324,7 @@ class TriMesh:
             The submesh and, for each of its vertices, the index of the
             originating vertex in this mesh.
         """
-        t_idx = np.asarray(sorted(set(int(i) for i in triangle_indices)), dtype=int)
+        t_idx = np.unique(np.asarray(triangle_indices, dtype=int))
         if len(t_idx) == 0:
             raise MeshError("submesh needs at least one triangle")
         tris = self.triangles[t_idx]
@@ -311,8 +342,7 @@ class TriMesh:
 
         if self.triangle_count == 0:
             raise MeshError("largest_component of an empty mesh")
-        pairs = [(ts[0], t) for ts in self.edge_triangles.values() for t in ts[1:]]
-        labels = component_labels(self.triangle_count, pairs)
+        labels = component_labels(self.triangle_count, self.side_pairs // 3)
         return self.submesh(np.flatnonzero(labels == np.bincount(labels).argmax()))
 
     def edge_lengths(self) -> np.ndarray:
@@ -323,10 +353,4 @@ class TriMesh:
 
     def triangle_areas(self) -> np.ndarray:
         """Unsigned area of every triangle."""
-        a = self.vertices[self.triangles[:, 0]]
-        b = self.vertices[self.triangles[:, 1]]
-        c = self.vertices[self.triangles[:, 2]]
-        return 0.5 * np.abs(
-            (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
-            - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-        )
+        return 0.5 * np.abs(doubled_areas(self.vertices, self.triangles))

@@ -1,5 +1,6 @@
 """Unit tests for the scenario zoo: families, validation, campaigns."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -155,6 +156,23 @@ class TestValidate:
         report = validate_foi(foi, min_clearance=0.2)
         assert not report.ok
         assert "hole_clearance" in report.failures
+
+    def test_reports_pinned_for_every_family_seeds_0_to_9(self):
+        # sha256 of the reports as they were while ``holes_disjoint``
+        # still re-ran the crossing test, so dropping that pass moved none.
+        rows = []
+        for family in FAMILIES:
+            for seed in range(10):
+                foi, _ = build_foi(family, seed, validate=False)
+                assert foi.edge_table.crossing_loops() is None
+                for clearance in (0.0, 0.3, 3.0):
+                    report = validate_foi(foi, min_clearance=clearance)
+                    rows.append([family, seed, clearance, report.checks, report.detail])
+        blob = json.dumps(rows, sort_keys=True).encode()
+        assert sum(not all(row[3].values()) for row in rows) == 19
+        assert hashlib.sha256(blob).hexdigest() == (
+            "9730a6f4b717622b4ed2cdd5ed0a9a793097aeb14a21c1158a6813df52ad84a6"
+        )
 
     def test_assert_deployable_on_zoo_family(self):
         foi, _ = build_foi("archipelago", 1)

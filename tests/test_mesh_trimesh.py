@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from repro.errors import MeshError
-from repro.mesh import TriMesh, edges_of_triangles
+from repro.mesh import TriMesh, delaunay_mesh, edges_of_triangles, vertex_fans
 
 
 def square_two_triangles():
@@ -42,6 +43,23 @@ class TestConstruction:
         with pytest.raises(MeshError):
             TriMesh([(0, 0), (1, 1), (2, 2)], [(0, 1, 2)])
 
+    def test_degeneracy_judged_by_extent_not_position(self):
+        unit = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        for offset in (0.0, 1e4, 1e7):
+            assert TriMesh(unit + offset, [(0, 1, 2)]).triangle_count == 1
+        with pytest.raises(MeshError):
+            TriMesh([(1e7, 1e7), (1e7 + 1, 1e7 + 1), (1e7 + 2, 1e7 + 2)], [(0, 1, 2)])
+
+    def test_translated_delaunay_keeps_its_triangles(self):
+        pts = np.random.default_rng(0).uniform(0.0, 10.0, (50, 2))
+        base = delaunay_mesh(pts).triangles
+        for offset in (1e3, 1e6):
+            assert np.array_equal(delaunay_mesh(pts + offset).triangles, base)
+        # Further out qhull's own output changes; the sliver filter still
+        # keeps every triangle it returns instead of emptying the mesh.
+        far = pts + 1e7
+        assert delaunay_mesh(far).triangle_count == len(Delaunay(far).simplices)
+
     def test_orientation_normalised_ccw(self):
         mesh = TriMesh([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])  # given CW
         a, b, c = mesh.vertices[mesh.triangles[0]]
@@ -71,14 +89,17 @@ class TestEdgesAdjacency:
         assert mesh.degree(1) == 2
 
     def test_edge_triangles(self):
+        # Sides 0-2 are triangle 0's, 3-5 triangle 1's; edges are
+        # (0,1) (0,2) (0,3) (1,2) (2,3).
         mesh = square_two_triangles()
-        assert len(mesh.edge_triangles[(0, 2)]) == 2  # the diagonal
-        assert len(mesh.edge_triangles[(0, 1)]) == 1
+        assert mesh.side_edge.tolist() == [0, 3, 1, 1, 4, 2]
+        assert mesh.edge_side_count.tolist() == [1, 2, 1, 1, 1]  # the diagonal
+        assert mesh.side_pairs.tolist() == [[2, 3]]  # both triangles on (0, 2)
 
     def test_vertex_triangles(self):
         mesh = square_two_triangles()
-        assert sorted(mesh.vertex_triangles[0]) == [0, 1]
-        assert mesh.vertex_triangles[1] == [0]
+        assert vertex_fans(mesh, 0) == [[0, 1]]
+        assert vertex_fans(mesh, 1) == [[0]]
 
     def test_edges_of_triangles_function(self):
         e = edges_of_triangles(np.array([[0, 1, 2], [1, 2, 3]]))
@@ -88,7 +109,7 @@ class TestEdgesAdjacency:
 class TestBoundary:
     def test_square_boundary(self):
         mesh = square_two_triangles()
-        assert sorted(mesh.boundary_edges) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+        assert mesh.boundary_edges.tolist() == [[0, 1], [1, 2], [2, 3], [0, 3]]
         assert mesh.boundary_vertices.tolist() == [0, 1, 2, 3]
         assert len(mesh.interior_vertices) == 0
 

@@ -677,3 +677,20 @@ def test_one_spatial_query_layer():
         **{pattern: [] for pattern in patterns},
         r"cKDTree": ["geometry/vec.py"],
     }
+
+
+def test_one_mesh_topology_path():
+    """Mesh topology reads the ``TriMesh`` side table only: the
+    dict-of-lists incidence and per-side ``setdefault`` loops stay out
+    of ``repro/mesh`` and the incidence names out of the package."""
+    sources = {
+        str(path.relative_to(SRC / "repro")): path.read_text()
+        for path in (SRC / "repro").rglob("*.py")
+    }
+    mesh = [name for name in sources if name.startswith("mesh/")]
+
+    def files(pattern, names):
+        return sorted(name for name in names if re.search(pattern, sources[name]))
+
+    assert files(r"edge_triangles|vertex_triangles", sources) == []
+    assert files(r"setdefault\(", mesh) == []
