@@ -94,7 +94,7 @@ def evaluate_trajectory(
     return TransitionEvaluation(
         method=method,
         total_distance=trajectory.total_distance(),
-        stable_link_ratio=stable_link_ratio(links, trajectory, resolution),
+        stable_link_ratio=stable_link_ratio(links, trajectory),
         globally_connected=report.connected,
         max_isolated=report.max_isolated,
         final_positions=trajectory.end_positions,
@@ -181,7 +181,7 @@ def run_scenario(
     foi_target_points, lloyd_grid_target : int
         Resolution knobs forwarded to the planner.
     resolution : int
-        Metric sampling resolution over the transition.
+        Definition-2 sampling resolution over the transition.
     """
     cache = _scenario_cache(spec, lloyd_grid_target)
     m1, m2 = spec.build(separation_factor)

@@ -37,8 +37,7 @@ DEFAULT_SIZES = (100, 1_000, 10_000)
 # edge counts grow linearly with the swarm.
 _TARGET_MEAN_DEGREE = 10.0
 
-# Sample instants per trajectory when measuring swarm sampling and
-# stable-link accounting.
+# Sample instants per trajectory when measuring swarm sampling.
 _SAMPLE_TIMES = 33
 
 
@@ -82,7 +81,12 @@ def _curve_for_size(
     from repro.harmonic import clear_factorization_cache, solve_linear
     from repro.harmonic.boundary import boundary_parameterization, circle_positions
     from repro.mesh.delaunay import delaunay_mesh
-    from repro.network import LinkTable, UnitDiskGraph, udg_edges
+    from repro.network import (
+        LinkTable,
+        UnitDiskGraph,
+        links_alive_throughout,
+        udg_edges,
+    )
     from repro.network.udg import _udg_edges_bruteforce
     from repro.robots.transition import straight_transition
 
@@ -110,11 +114,12 @@ def _curve_for_size(
     record("network.components", lambda: graph.components)
 
     # Straight constant-speed march of the whole swarm, sampled on a
-    # uniform grid - the motion model the metrics consume.
+    # uniform grid - the motion model the metrics consume; Definition 1
+    # reads the march itself.
     goal = pts + np.array([comm_range, 0.0])
     traj = straight_transition(pts, goal, 0.0, 10.0)
     times = np.linspace(0.0, 10.0, _SAMPLE_TIMES)
-    table = record(
+    record(
         "robots.sampling",
         lambda: traj.positions_over(times),
         samples=_SAMPLE_TIMES,
@@ -123,7 +128,7 @@ def _curve_for_size(
     links = LinkTable.from_graph(graph)
     record(
         "metrics.stable_links",
-        lambda: links.stable_mask_over(table),
+        lambda: links_alive_throughout(links, traj),
         links=links.link_count,
     )
 

@@ -93,7 +93,7 @@ class ZooConfig:
     foi_target_points, grid_target, lloyd_max_iterations : int
         Planner resolution knobs.
     resolution : int
-        Metric sampling resolution (connectivity, ``L``).
+        Definition-2 sampling resolution (``L`` is exact and samples no grid).
     methods : tuple of str
         Planner methods to run per scenario ("ours (a)", "ours (b)").
     shrink : bool
@@ -230,7 +230,7 @@ def _check_connectivity(result, comm_range: float, resolution: int) -> dict[str,
     }
 
 
-def _check_lemma1(result, links, resolution: int) -> dict[str, Any]:
+def _check_lemma1(result, links) -> dict[str, Any]:
     """``L`` in [0, 1]; ``D`` at or above the matching floor.
 
     Lemma 1 says maximising ``L`` and minimising ``D`` conflict; its
@@ -239,7 +239,7 @@ def _check_lemma1(result, links, resolution: int) -> dict[str, Any]:
     start and final position sets (and a fortiori the per-robot
     straight lines to the plan's own assignment).
     """
-    ratio = stable_link_ratio(links, result.trajectory, resolution)
+    ratio = stable_link_ratio(links, result.trajectory)
     total = float(result.total_distance)
     start, final = result.start_positions, result.final_positions
     straight = float(np.hypot(*(final - start).T).sum())
@@ -273,7 +273,7 @@ def _check_definition2(result, comm_range: float, resolution: int,
     report = connectivity_report(
         trajectory, comm_range, data["boundary_anchors"], resolution
     )
-    ratio = stable_link_ratio(links, trajectory, resolution)
+    ratio = stable_link_ratio(links, trajectory)
     finals_match = bool(
         np.allclose(
             np.asarray(data["final_positions"], dtype=float),
@@ -356,7 +356,7 @@ def run_zoo_case(case: ZooCase, config: ZooConfig | None = None) -> dict[str, An
             conn = _check_connectivity(
                 result, scenario.comm_range, config.resolution
             )
-            lemma1 = _check_lemma1(result, result.links, config.resolution)
+            lemma1 = _check_lemma1(result, result.links)
             def2, payload = _check_definition2(
                 result, scenario.comm_range, config.resolution, lemma1
             )

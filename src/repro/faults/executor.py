@@ -137,7 +137,7 @@ class ResilientExecutor:
     config : MarchingConfig, optional
         Planner settings shared by the original plan and every replan.
     resolution : int
-        Metric sampling resolution (connectivity and ``L``).
+        Definition-2 sampling resolution (``L`` is exact and samples no grid).
     consensus_round_time : float
         Mission time charged per consensus round of each recovery
         (models the paper's robots pausing to cooperatively determine
@@ -239,9 +239,7 @@ class ResilientExecutor:
                     swarm, target_foi, source_foi=source_foi
                 )
         baseline_distance = original.total_distance
-        baseline_L = stable_link_ratio(
-            original.links, original.trajectory, self.resolution
-        )
+        baseline_L = stable_link_ratio(original.links, original.trajectory)
         nominal_duration = original.trajectory.duration
 
         current = original
@@ -368,7 +366,7 @@ class ResilientExecutor:
         )
 
         final_L = (
-            stable_link_ratio(current.links, current.trajectory, self.resolution)
+            stable_link_ratio(current.links, current.trajectory)
             if replanned
             else baseline_L
         )

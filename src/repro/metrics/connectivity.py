@@ -7,9 +7,8 @@ outer boundary loop of the extracted triangulation ``T``).
 predicate.  With no anchors - ``None``, empty, or none left once absent
 robots are dropped - it degrades to plain graph connectivity, the same
 predicate whenever the anchors are a non-empty subset of the swarm.
-:func:`connectivity_report` evaluates it at the instants
-:func:`~repro.metrics.stable_links.stable_link_report` uses: the
-right-sided ``sample_times`` plus the left-sided limit at every jump in
+:func:`connectivity_report` evaluates it at the right-sided
+``sample_times`` plus the left-sided limit at every jump in
 ``discontinuity_times``.
 
 Witness law: if every link of one spanning tree of the present robots

@@ -1,16 +1,16 @@
 """Total stable link ratio ``L`` (paper Definition 1).
 
 A link counts as *stable* when the two robots remain within
-communication range at every instant of the transition.  For
-synchronous piecewise-linear motion the inter-robot distance is convex
-on every common linear sub-interval, so evaluating at the union of the
-trajectory's critical times (all waypoint times) and a safety grid is
-exact.  Trajectories may additionally contain *discontinuities* -
-duplicated waypoint times modelling instantaneous jumps - where
-interval sampling only sees the post-jump position; the evaluator
-therefore also checks the left-sided limit at each discontinuity so a
-link that is out of range just before a jump is correctly counted as
-broken.
+communication range at every instant of the transition.  Between
+consecutive waypoint times of a link's two robots both move linearly,
+so their distance is convex there and peaks at an end: testing each
+link at its own robots' waypoint times (and ``t_start``, ``t_end``) is
+exact.  Trajectories may also contain *discontinuities* - duplicated
+waypoint times modelling instantaneous jumps - where the right-sided
+position is the post-jump one, so a link is also tested at the
+left-sided limit of every jump of either robot: a link out of range
+just before a jump counts as broken.
+:func:`~repro.network.links.links_alive_throughout` is that kernel.
 """
 
 from __future__ import annotations
@@ -19,13 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.metrics.connectivity import _position_blocks
-from repro.network.links import LinkTable
+from repro.network.links import LinkTable, _alive_throughout
 from repro.obs import span
 from repro.robots.motion import SwarmTrajectory
 
 __all__ = ["StableLinkReport", "stable_link_ratio", "stable_link_report"]
-
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,7 @@ class StableLinkReport:
     initial_links : int
         ``sum_i m_i / 2`` - number of undirected M1 links.
     stable_links : int
-        Links alive at every evaluated instant.
+        Links in range throughout the transition.
     ratio : float
         ``L`` per Definition 1.
     broken_mask : (m,) bool ndarray
@@ -53,45 +51,30 @@ class StableLinkReport:
 def stable_link_ratio(
     links: LinkTable, trajectory: SwarmTrajectory, resolution: int = 32
 ) -> float:
-    """Definition 1's ``L`` over a trajectory."""
+    """Definition 1's ``L`` over a trajectory.
+
+    ``resolution`` is unused and kept for callers that pass it: ``L``
+    is exact and samples no grid.
+    """
     return stable_link_report(links, trajectory, resolution).ratio
 
 
 def stable_link_report(
     links: LinkTable, trajectory: SwarmTrajectory, resolution: int = 32
 ) -> StableLinkReport:
-    """Detailed stable-link accounting over a trajectory."""
-    times = trajectory.sample_times(resolution)
-    with span(
-        "metrics.stable_links",
-        links=links.link_count,
-        samples=int(len(times)),
-    ) as sp:
-        stable = _stable_over(links, trajectory, times, "right")
-        disc = trajectory.discontinuity_times()
-        if len(disc):
-            # Right-continuous sampling above misses the pre-jump
-            # positions; AND in aliveness at the left-sided limits.
-            stable &= _stable_over(links, trajectory, disc, "left")
+    """Detailed stable-link accounting over a trajectory.
+
+    ``resolution`` is unused, as in :func:`stable_link_ratio`.
+    """
+    with span("metrics.stable_links", links=links.link_count) as sp:
+        stable, rows, jumps = _alive_throughout(links, trajectory)
         m = links.link_count
         s = int(stable.sum())
         ratio = 1.0 if m == 0 else s / m
-        sp.set_attributes(stable=s, ratio=ratio, discontinuities=int(len(disc)))
+        sp.set_attributes(rows=rows, jumps=jumps, stable=s, ratio=ratio)
     return StableLinkReport(
         initial_links=m,
         stable_links=s,
         ratio=ratio,
         broken_mask=~stable,
     )
-
-
-def _stable_over(
-    links: LinkTable, trajectory: SwarmTrajectory, times: np.ndarray, side: str
-) -> np.ndarray:
-    """Links alive at every one of ``times`` (``side``-limits at jumps)."""
-    stable = np.ones(links.link_count, dtype=bool)
-    for table in _position_blocks(trajectory, times, side):
-        stable &= links.stable_mask_over(table)
-        if not stable.any():
-            break
-    return stable

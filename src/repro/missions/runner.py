@@ -290,9 +290,7 @@ class MissionRunner:
             # A crashed robot flew until its crash, the rest until t_cut.
             flown_until = np.where(np.isfinite(alive_until), alive_until, t_cut)
             executed = float(traj.distances_between(traj.t_start, flown_until).sum())
-            ratio = float(
-                stable_link_ratio(result.links, traj, config.resolution)
-            )
+            ratio = float(stable_link_ratio(result.links, traj))
 
             diff = plan_diff(
                 epoch,

@@ -110,7 +110,7 @@ class MissionConfig:
     foi_target_points, grid_target, lloyd_max_iterations : int
         Planner resolution knobs.
     resolution : int
-        Metric sampling resolution per leg (connectivity, ``L``).
+        Definition-2 sampling resolution per leg (``L`` is exact).
     method : str
         Planner method for every leg (``"a"`` or ``"b"``).
     advance_fraction : float

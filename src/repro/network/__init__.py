@@ -6,7 +6,7 @@ from repro.network.extract import (
     extract_triangulation_localized,
 )
 from repro.network.graphs import adjacency_from_edges, bfs_hops, component_labels
-from repro.network.links import LinkTable, links_alive
+from repro.network.links import LinkTable, links_alive, links_alive_throughout
 from repro.network.udg import UnitDiskGraph, udg_edges
 
 __all__ = [
@@ -19,5 +19,6 @@ __all__ = [
     "extract_triangulation",
     "extract_triangulation_localized",
     "links_alive",
+    "links_alive_throughout",
     "udg_edges",
 ]

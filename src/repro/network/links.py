@@ -14,14 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.vec import as_points
+from repro.geometry.vec import as_points, expand_ragged
 from repro.network.udg import UnitDiskGraph, udg_edges
 
-__all__ = ["LinkTable", "links_alive"]
+__all__ = ["LinkTable", "links_alive", "links_alive_throughout"]
 
-# Link-snapshot cells :meth:`LinkTable.stable_mask_over` tests in one
-# vectorised call: many snapshots of a small table, one of a huge one,
-# so the ``(block, m)`` temporaries stay near 256 KB each.
+# An instant at least this share of the robots have a row at is tested
+# as one snapshot of the swarm (n positions, m links), which is cheaper
+# than link by link (one entry per link of each robot with a row there).
+_SWARM_SHARE = 1 / 8
+
+# Robot or link cells of one block of whole-swarm snapshots, so the
+# ``(block, n, 2)`` positions and ``(block, m)`` temporaries stay small.
 _SNAPSHOT_CELLS = 2**15
 
 
@@ -101,37 +105,77 @@ class LinkTable:
             return 1.0
         return float(self.alive_mask(positions).mean())
 
-    def stable_mask_over(self, snapshots) -> np.ndarray:
-        """Links alive at *every* snapshot of positions.
 
-        Parameters
-        ----------
-        snapshots : (k, n, 2) array or iterable of (n, 2) arrays
-            Position samples over the transition, in time order, tested
-            a block of snapshots per call.
+def links_alive_throughout(links: LinkTable, trajectory) -> np.ndarray:
+    """Which links stay in range at every instant of a transition (Definition 1).
 
-        Returns
-        -------
-        (m,) bool ndarray
-        """
-        if not isinstance(snapshots, np.ndarray):
-            snapshots = np.array([as_points(pos) for pos in snapshots])
-        stable = np.ones(self.link_count, dtype=bool)
-        size = max(1, _SNAPSHOT_CELLS // max(1, self.link_count))
-        for start in range(0, len(snapshots), size):
-            stable &= self.alive_mask(snapshots[start:start + size]).all(axis=0)
-            if not stable.any():
-                break
-        return stable
+    Between consecutive row times of either of a link's two robots both
+    move linearly, so their distance is convex there and peaks at an
+    end.  A link is therefore tested, from the right, at ``t_start``,
+    ``t_end`` and every row time of either robot inside the interval
+    (kept as :meth:`~repro.robots.motion.SwarmTrajectory.critical_times`
+    keeps them), and from the left at every jump of either robot.  An
+    instant many robots have a row at is tested once for the whole
+    swarm; any other row only for its own robot's links, its partner's
+    row found by offset arithmetic.  Either way a link costs about its
+    own robots' rows, not every instant of the swarm.
 
-    def stable_link_ratio_over(self, snapshots) -> float:
-        """Definition 1's ``L`` evaluated over sampled snapshots.
+    Parameters
+    ----------
+    links : LinkTable
+    trajectory : SwarmTrajectory
 
-        ``L = (# links alive at all samples) / (# initial links)``.
-        Note the definition's double sum counts each link once per
-        endpoint in both numerator and denominator, so the factor of
-        two cancels and the ratio of undirected counts is identical.
-        """
-        if self.link_count == 0:
-            return 1.0
-        return float(self.stable_mask_over(snapshots).mean())
+    Returns
+    -------
+    (m,) bool ndarray
+    """
+    return _alive_throughout(links, trajectory)[0]
+
+
+def _alive_throughout(links: LinkTable, trajectory) -> tuple[np.ndarray, int, int]:
+    """:func:`links_alive_throughout`'s mask, its link-row evaluations and
+    the jump rows it took left-sided limits at."""
+    n, m = trajectory.robot_count, links.link_count
+    instants, rank = trajectory.instants, trajectory.row_instants
+    # Each robot's row instants inside the interval, once each.
+    own = trajectory.in_interval(trajectory.times)
+    own[:-1] &= (rank[1:] != rank[:-1]) | (np.diff(trajectory.row_robots) != 0)
+    swarm = np.bincount(rank[own], minlength=len(instants)) >= _SWARM_SHARE * n
+    swarm[np.searchsorted(instants, [trajectory.t_start, trajectory.t_end])] = True
+    alive = np.ones(m, dtype=bool)
+    snapshots = instants[swarm]
+    size = max(1, _SNAPSHOT_CELLS // max(n, m))
+    for lo in range(0, len(snapshots), size):
+        table = trajectory.positions_over(snapshots[lo:lo + size])
+        alive &= links.alive_mask(table).all(axis=0)
+    own &= ~swarm[rank]
+    jumps = trajectory.jump_rows
+    jumps = jumps[trajectory.in_interval(trajectory.times[jumps])]
+    rows = m * len(snapshots)
+    rows += _clear_broken(links, trajectory, np.flatnonzero(own), "right", alive)
+    rows += _clear_broken(links, trajectory, jumps, "left", alive)
+    return alive, rows, len(jumps)
+
+
+def _clear_broken(links, trajectory, picked, side, alive) -> int:
+    """Clear ``alive`` where a link is out of range at the instant of a
+    picked row of either robot, from ``side``.
+
+    Returns the number of link-row evaluations.
+    """
+    owner = trajectory.row_robots[picked]
+    instant = trajectory.row_instants[picked]
+    count = np.bincount(owner, minlength=trajectory.robot_count)
+    start = np.cumsum(count) - count
+    mine = trajectory.positions_of(owner, instant, side)
+    # Each link's entries: robot a's picked rows, then robot b's.
+    pairs = np.asarray(links.links, dtype=np.int64).reshape(-1, 2)
+    me, you = pairs.T.reshape(-1), pairs[:, ::-1].T.reshape(-1)
+    entry = expand_ragged(start[me], count[me])
+    d = np.take(mine, entry, axis=0)
+    d -= trajectory.positions_of(np.repeat(you, count[me]), instant[entry], side)
+    far = np.flatnonzero(np.hypot(d[:, 0], d[:, 1]) > links.comm_range)
+    if len(far):
+        link = np.searchsorted(np.cumsum(count[me]), far, side="right")
+        alive[link % len(pairs)] = False
+    return len(entry)

@@ -7,24 +7,29 @@ clock.  A :class:`SwarmTrajectory` stores every robot's path in one
 ragged array: robot ``i`` owns rows ``offsets[i]:offsets[i+1]`` of
 ``xy`` (waypoints) and ``times`` (non-decreasing time stamps).
 
-A useful fact the evaluator exploits: when two robots both move
+A useful fact Definition 1 exploits: when two robots both move
 linearly on a common sub-interval, their mutual distance is a convex
 function of time, so it attains its maximum at the sub-interval's
-endpoints.  Sampling at the union of all waypoint times therefore
-bounds link breakage exactly for synchronous piecewise-linear plans.
-The one exception is a *discontinuity* - two waypoints sharing a time
-stamp with different positions (an instantaneous jump): interval
-sampling only sees the post-jump position there, so exact evaluators
-must additionally check the left-sided limit at
-:meth:`SwarmTrajectory.discontinuity_times`.
+endpoints.  A link is therefore up for a whole transition iff it is up
+at every waypoint time of either of its two robots (and the interval's
+ends), which :func:`~repro.network.links.links_alive_throughout` tests
+link by link.  The one exception is a *discontinuity* - two waypoints
+sharing a time stamp with different positions (an instantaneous jump):
+a right-sided query only sees the post-jump position there, so exact
+evaluators must additionally check the left-sided limit at each jump
+(:attr:`SwarmTrajectory.jump_rows`,
+:meth:`SwarmTrajectory.discontinuity_times`).
 
 Every query is one vectorised pass, bitwise equal to a per-robot rule
 the tests keep: :meth:`~SwarmTrajectory.positions_over` follows
 ``np.interp``'s branches from the right and a clipped-alpha blend from
-the left, :meth:`~SwarmTrajectory.positions_at` the blend clamped to
-the end waypoints, and per-robot sums reduce each robot's run in
-numpy's own 1-D order (:func:`_runs`).  DESIGN.md ("How a transition
-is stored") states the rules in full.
+the left, and :meth:`~SwarmTrajectory.positions_of` asks the same two
+formulas for one robot at one of the trajectory's own
+:attr:`~SwarmTrajectory.instants` per entry;
+:meth:`~SwarmTrajectory.positions_at` takes the blend clamped to the
+end waypoints, and per-robot sums reduce each robot's run in numpy's
+own 1-D order (:func:`_runs`).  DESIGN.md ("How a transition is
+stored") states the rules in full.
 """
 
 from __future__ import annotations
@@ -134,7 +139,7 @@ class SwarmTrajectory:
         return self.t_end - self.t_start
 
     @cached_property
-    def _robot(self) -> np.ndarray:
+    def row_robots(self) -> np.ndarray:
         """Owning robot of every row."""
         return np.repeat(np.arange(self.robot_count), np.diff(self.offsets))
 
@@ -144,6 +149,47 @@ class SwarmTrajectory:
         mask = np.ones(max(len(self.times) - 1, 0), dtype=bool)
         mask[self.offsets[1:-1] - 1] = False
         return mask
+
+    @cached_property
+    def _ranked(self) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`instants` and :attr:`row_instants`, from one ``np.unique``."""
+        stamps = np.concatenate([self.times, [self.t_start, self.t_end]])
+        instants, rank = np.unique(stamps, return_inverse=True)
+        return instants, rank[:-2]
+
+    @property
+    def instants(self) -> np.ndarray:
+        """Sorted distinct time stamps of every row, ``t_start`` and ``t_end``."""
+        return self._ranked[0]
+
+    @property
+    def row_instants(self) -> np.ndarray:
+        """``(N,)`` int: each row's time as an index into :attr:`instants`."""
+        return self._ranked[1]
+
+    @cached_property
+    def _instant_keys(self) -> np.ndarray:
+        """Every row's ``robot * len(instants) + rank``, sorted.
+
+        Robot ``i``'s keys fill positions ``offsets[i]:offsets[i+1]`` in
+        any row order, so counting its keys below a bound counts its rows
+        before an instant exactly as :meth:`_rows` does.
+        """
+        keys = self.row_robots * len(self.instants) + self.row_instants
+        keys.sort()
+        return keys
+
+    @cached_property
+    def jump_rows(self) -> np.ndarray:
+        """Rows a robot jumps to: its previous row has (nearly) the same
+        time stamp but another position."""
+        same_t = np.abs(np.diff(self.times)) <= 1e-12
+        moved = _segment_lengths(self.xy) > 0.0
+        return np.flatnonzero(self._same_robot & same_t & moved) + 1
+
+    def in_interval(self, times) -> np.ndarray:
+        """Mask of ``times`` inside ``[t_start, t_end]``, to within ``1e-9``."""
+        return (times >= self.t_start - 1e-9) & (times <= self.t_end + 1e-9)
 
     @cached_property
     def _slopes(self) -> np.ndarray:
@@ -167,14 +213,17 @@ class SwarmTrajectory:
         rank = np.searchsorted(
             ts[order], self.times, side="left" if side == "right" else "right"
         )
-        hits = np.bincount(rank * n + self._robot, minlength=(len(ts) + 1) * n)
+        hits = np.bincount(rank * n + self.row_robots, minlength=(len(ts) + 1) * n)
         rows = hits.reshape(-1, n)[:-1].cumsum(axis=0)
         rows += self.offsets[:-1] - 1
         return np.take(rows, np.argsort(order), axis=0)
 
-    def _blend(self, t: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """``(1 - a) * xy[j] + a * xy[j+1]``, ``a`` clipped, on the segment at ``j``."""
-        first, last = self.offsets[:-1], self.offsets[1:] - 1
+    def _blend(self, t, j, first, last) -> np.ndarray:
+        """``(1 - a) * xy[j] + a * xy[j+1]``, ``a`` clipped, on the segment at ``j``.
+
+        The left-sided rule; ``first``/``last`` are the owning robots'
+        first and last rows, broadcast against ``j``.
+        """
         j = np.clip(j, first, np.maximum(first, last - 1))
         nxt = np.minimum(j + 1, last)
         t0 = self.times[j]
@@ -188,12 +237,35 @@ class SwarmTrajectory:
         out += (1.0 - alpha) * np.take(self.xy, j, axis=0)
         return out
 
+    def _slide(self, t, j, first, last) -> np.ndarray:
+        """``xy[j] + slope[j] * (t - t_j)``: ``np.interp``'s right-sided rule.
+
+        ``j`` is the robot's last row with time ``<= t`` (``first - 1``
+        if none) and is clamped in place; the waypoint itself is exact
+        before the first row, on a row's own time and past the last row.
+        """
+        exact = j < first  # before the first waypoint: the first
+        np.maximum(j, first, out=j)
+        tj = np.take(self.times, j)
+        exact |= tj == t
+        exact |= j == last
+        xj = np.take(self.xy, j, axis=0)
+        out = np.take(self._slopes, j, axis=0)
+        # Per column and through a full mask: numpy's broadcast over a
+        # trailing axis of 2 costs about twice as much.
+        dt = t - tj
+        out[..., 0] *= dt
+        out[..., 1] *= dt
+        out += xj
+        np.copyto(out, xj, where=np.repeat(exact[..., None], 2, axis=-1))
+        return out
+
     def _position_at(self, t: np.ndarray) -> np.ndarray:
         """Position of robot ``i`` at ``t[i]``: the blend, clamped to the ends."""
         first, last = self.offsets[:-1], self.offsets[1:] - 1
-        r = self._robot
+        r = self.row_robots
         below = np.bincount(r[self.times <= t[r]], minlength=self.robot_count)
-        out = self._blend(t, first - 1 + below)
+        out = self._blend(t, first - 1 + below, first, last)
         at_end = t >= self.times[last]
         out[at_end] = self.xy[last[at_end]]
         at_start = t <= self.times[first]
@@ -230,7 +302,7 @@ class SwarmTrajectory:
         """
         n = self.robot_count
         t1 = np.broadcast_to(np.asarray(t1, dtype=float), (n,))
-        r = self._robot
+        r = self.row_robots
         inside = (self.times > t0) & (self.times < t1[r])
         ri = r[inside]
         count = np.bincount(ri, minlength=n)
@@ -250,7 +322,7 @@ class SwarmTrajectory:
     def critical_times(self) -> np.ndarray:
         """Sorted union of every waypoint time (plus the interval ends)."""
         arr = np.unique(np.concatenate([[self.t_start, self.t_end], self.times]))
-        return arr[(arr >= self.t_start - 1e-9) & (arr <= self.t_end + 1e-9)]
+        return arr[self.in_interval(arr)]
 
     def sample_times(self, resolution: int = 32) -> np.ndarray:
         """Evaluation times: a uniform grid merged with the critical times."""
@@ -267,10 +339,8 @@ class SwarmTrajectory:
         the pre-jump position at such a time, so evaluators must check
         both one-sided limits there.
         """
-        same_t = np.abs(np.diff(self.times)) <= 1e-12
-        moved = _segment_lengths(self.xy) > 0.0
-        arr = np.unique(self.times[1:][self._same_robot & same_t & moved])
-        return arr[(arr >= self.t_start - 1e-9) & (arr <= self.t_end + 1e-9)]
+        arr = np.unique(self.times[self.jump_rows])
+        return arr[self.in_interval(arr)]
 
     def positions_over(self, times, side: str = "right") -> np.ndarray:
         """Positions for every robot at every time: shape ``(k, n, 2)``.
@@ -280,24 +350,34 @@ class SwarmTrajectory:
         ``"left"`` the position approached from earlier times.  At
         continuous instants both sides agree.
         """
-        if side not in ("right", "left"):
-            raise PlanningError(f"side must be 'left' or 'right', got {side!r}")
+        rule = self._rule(side)
         ts = np.asarray(times, dtype=float)
         j = self._rows(ts, side)
-        t = ts[:, None]
-        if side == "left":
-            return self._blend(t, j)
-        first, last = self.offsets[:-1], self.offsets[1:] - 1
-        exact = j < first  # before the first waypoint: the first
-        np.maximum(j, first, out=j)
-        tj = self.times[j]
-        exact |= (tj == t) | (j == last)
-        xj = np.take(self.xy, j, axis=0)
-        out = np.take(self._slopes, j, axis=0)
-        out *= (t - tj)[..., None]
-        out += xj
-        out[exact] = xj[exact]
-        return out
+        return rule(ts[:, None], j, self.offsets[:-1], self.offsets[1:] - 1)
+
+    def positions_of(self, robots, instants, side: str = "right") -> np.ndarray:
+        """Robot ``robots[k]`` at ``self.instants[instants[k]]``: shape ``(q, 2)``.
+
+        The per-(robot, instant) form of :meth:`positions_over`, bitwise
+        equal to its entry at that robot and instant on either side.  The
+        robot's row comes from one ``searchsorted`` over the integer keys
+        ``robot * len(instants) + rank``, so a query costs ``log N``, not
+        a pass over every robot.
+        """
+        rule = self._rule(side)
+        robots = np.asarray(robots, dtype=np.int64)
+        instants = np.asarray(instants, dtype=np.int64)
+        # Rows with rank <= q (right) or < q (left): the keys below this one.
+        keys = robots * len(self.instants) + instants + (side == "right")
+        j = np.searchsorted(self._instant_keys, keys) - 1
+        t = np.take(self.instants, instants)
+        return rule(t, j, self.offsets[robots], self.offsets[robots + 1] - 1)
+
+    def _rule(self, side: str):
+        """The position formula of one side: the slope form or the blend."""
+        if side not in ("right", "left"):
+            raise PlanningError(f"side must be 'left' or 'right', got {side!r}")
+        return self._slide if side == "right" else self._blend
 
     def then(self, other: "SwarmTrajectory") -> "SwarmTrajectory":
         """Concatenate two trajectories robot-by-robot.
@@ -329,7 +409,7 @@ class SwarmTrajectory:
         keep[starts] = other.times[starts] > self.times[ends] + 1e-9
         # Junction rows dropped for the robots before each robot.
         dropped = np.concatenate([[0], np.cumsum(~keep[starts])])
-        r1, r2 = self._robot, other._robot[keep]
+        r1, r2 = self.row_robots, other.row_robots[keep]
         dest1 = np.arange(len(self.times)) + other.offsets[r1] - dropped[r1]
         dest2 = np.flatnonzero(keep) + self.offsets[r2 + 1] - dropped[r2 + 1]
         size = len(self.times) + len(r2)

@@ -7,10 +7,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import GeometryError
-from repro.network import LinkTable, UnitDiskGraph, links_alive, udg_edges
+from repro.network import (
+    LinkTable,
+    UnitDiskGraph,
+    links_alive,
+    links_alive_throughout,
+    udg_edges,
+)
 from repro.network import links as links_module
+from repro.robots import SwarmTrajectory
+from tests.links_oracle import stable_link_ratio_over, stable_mask_over
 
 LINE = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [5.0, 0.0]])
+
+
+def through(snapshots):
+    """Every robot moves linearly from one snapshot to the next, one per
+    unit of time, so Definition 1 over it is the per-snapshot rule."""
+    snaps = np.asarray(snapshots, dtype=float)
+    k, n = snaps.shape[:2]
+    return SwarmTrajectory(
+        np.arange(n + 1) * k, np.tile(np.arange(k, dtype=float), n),
+        snaps.transpose(1, 0, 2).reshape(-1, 2), 0.0, float(k - 1),
+    )
 
 
 class TestUdgEdges:
@@ -113,15 +132,15 @@ class TestLinkTable:
         table = LinkTable.from_positions(LINE, 1.5)
         mid = LINE + np.array([[0, 0], [0, 5.0], [0, 0], [0, 0]])
         snaps = [LINE, mid, LINE]  # link breaks mid-way then returns
-        stable = table.stable_mask_over(snaps)
-        assert stable.tolist() == [False, False]
+        assert stable_mask_over(table, snaps).tolist() == [False, False]
+        assert links_alive_throughout(table, through(snaps)).tolist() == [False, False]
 
     def test_stable_ratio_definition(self):
         table = LinkTable.from_positions(LINE, 1.5)
         mid = LINE + np.array([[0, 0], [0, 0], [0, 5.0], [0, 0]])
         # Only link (1,2) breaks; (0,1) stays.
-        ratio = table.stable_link_ratio_over([LINE, mid])
-        assert ratio == pytest.approx(0.5)
+        assert stable_link_ratio_over(table, [LINE, mid]) == pytest.approx(0.5)
+        assert links_alive_throughout(table, through([LINE, mid])).mean() == 0.5
 
     def test_links_alive_function(self):
         links = np.array([[0, 1], [1, 2]])
@@ -184,15 +203,19 @@ class TestStackedLinks:
     @settings(max_examples=100, deadline=None)
     def test_stable_mask_equals_per_snapshot_loop(self, snaps, comm_range,
                                                   cells, form):
+        # The kernel tests instants every robot has a row at as blocks
+        # of whole-swarm snapshots; any block size gives the same mask.
         start = snaps[0] if len(snaps) else np.zeros((snaps.shape[1], 2))
         table = LinkTable.from_positions(start, comm_range)
         given_snaps = {"array": snaps, "list": list(snaps),
                        "generator": (pos for pos in snaps)}[form]
-        with mock.patch.object(links_module, "_SNAPSHOT_CELLS", cells):
-            got = table.stable_mask_over(given_snaps)
         want = per_snapshot_stable(table.links, snaps, comm_range)
-        assert got.dtype == bool
-        assert got.tolist() == want.tolist()
+        assert stable_mask_over(table, given_snaps).tolist() == want.tolist()
+        if len(snaps):
+            with mock.patch.object(links_module, "_SNAPSHOT_CELLS", cells):
+                got = links_alive_throughout(table, through(snaps))
+            assert got.dtype == bool
+            assert got.tolist() == want.tolist()
 
     def test_stacked_rejects_bad_shapes(self):
         links = np.array([[0, 1]])

@@ -15,8 +15,10 @@ from repro.experiments.zoo.strategies import st_zoo_case, st_zoo_foi
 from repro.foi import FieldOfInterest, ellipse_polygon
 from repro.geometry import Polygon, convex_hull, signed_area
 from repro.mesh import delaunay_mesh
-from repro.network import LinkTable
+from repro.metrics import stable_link_ratio
+from repro.network import LinkTable, links_alive_throughout
 from repro.robots import SwarmTrajectory, straight_transition
+from tests.links_oracle import stable_link_ratio_over, stable_mask_over
 
 coord = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 point = st.tuples(coord, coord)
@@ -110,9 +112,18 @@ class TestLinkTableInvariants:
         pos = rng.uniform(0, 6, (n, 2))
         table = LinkTable.from_positions(pos, rc)
         snaps = [pos + rng.normal(0, 0.5, (n, 2)) for _ in range(4)]
-        shorter = table.stable_mask_over([pos] + snaps[:2])
-        longer = table.stable_mask_over([pos] + snaps)
+        shorter = stable_mask_over(table, [pos] + snaps[:2])
+        longer = stable_mask_over(table, [pos] + snaps)
         # More snapshots can only break more links, never revive them.
+        assert not np.any(longer & ~shorter)
+        # Nor can flying on past them.
+        legs = [straight_transition(p, q, float(k), float(k + 1))
+                for k, (p, q) in enumerate(zip([pos] + snaps, snaps))]
+        flown = [legs[0]]
+        for leg in legs[1:]:
+            flown.append(flown[-1].then(leg))
+        shorter = links_alive_throughout(table, flown[1])
+        longer = links_alive_throughout(table, flown[-1])
         assert not np.any(longer & ~shorter)
 
     @given(st.integers(2, 8), st.integers(0, 10_000))
@@ -122,8 +133,10 @@ class TestLinkTableInvariants:
         pos = rng.uniform(0, 5, (n, 2))
         table = LinkTable.from_positions(pos, 2.0)
         traj = straight_transition(pos, pos + rng.normal(0, 1, (n, 2)))
-        ratio = table.stable_link_ratio_over(traj.positions_over(traj.sample_times(8)))
+        ratio = stable_link_ratio_over(table, traj.positions_over(traj.sample_times(8)))
         assert 0.0 <= ratio <= 1.0
+        # Straight legs: the distance peaks at the ends, so L is exact.
+        assert stable_link_ratio(table, traj) == ratio
 
 
 class TestFoiInvariants:

@@ -270,6 +270,32 @@ class TestAgainstPerRobotOracle:
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
+    def test_positions_of_each_robot_and_instant(self, data):
+        traj, _ = data.draw(trajectories())
+        instants = traj.instants
+        assert np.array_equal(instants, np.unique(instants))
+        assert {traj.t_start, traj.t_end} <= set(instants.tolist())
+        assert np.array_equal(instants[traj.row_instants], traj.times)
+        n, k = traj.robot_count, len(instants)
+        robots, at = np.tile(np.arange(n), k), np.repeat(np.arange(k), n)
+        for side in ("right", "left"):
+            want = traj.positions_over(instants, side=side).reshape(-1, 2)
+            assert oracle.same_bits(traj.positions_of(robots, at, side), want)
+
+    def test_positions_of_with_times_a_hair_out_of_order(self):
+        # Times may step back by up to 1e-12 within a robot.
+        traj = SwarmTrajectory([0, 3, 4], [0.2, 0.5, 0.5 - 1e-13, 0.5],
+                               [[0, 0], [1, 0], [2, 0], [7, 7]], 0.0, 1.0)
+        n, k = traj.robot_count, len(traj.instants)
+        robots, at = np.tile(np.arange(n), k), np.repeat(np.arange(k), n)
+        for side in ("right", "left"):
+            want = traj.positions_over(traj.instants, side=side).reshape(-1, 2)
+            assert oracle.same_bits(traj.positions_of(robots, at, side), want)
+        with pytest.raises(PlanningError, match="side"):
+            traj.positions_of([0], [0], side="middle")
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
     def test_lengths_and_times(self, data):
         traj, rows = data.draw(trajectories())
         assert oracle.same_bits(
