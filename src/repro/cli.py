@@ -128,12 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--mission-epochs", type=int, default=3, metavar="N",
                           help="target updates per mission for --missions "
                                "(default: 3)")
-    p_report.add_argument("--scaling", action="store_true",
-                          help="append per-stage swarm-size scaling curves "
-                               "(wall-clock and peak allocation)")
-    p_report.add_argument("--scaling-sizes", type=int, nargs="+", default=None,
-                          help="swarm sizes for --scaling "
-                               "(default: 100 1000 10000)")
     p_report.add_argument("--load", action="store_true",
                           help="append a seeded service load-test section "
                                "(latency percentiles + correctness checks)")
@@ -488,8 +482,6 @@ def _cmd_report(args) -> int:
         missions=args.missions,
         mission_seeds=args.mission_seeds,
         mission_epochs=args.mission_epochs,
-        scaling=args.scaling,
-        scaling_sizes=args.scaling_sizes,
         load=args.load,
         load_clients=args.load_clients,
         load_seed=args.load_seed,

@@ -47,11 +47,6 @@ from repro.experiments.lemmas import (
     lemma1_example,
     lemma2_example,
 )
-from repro.experiments.scaling import (
-    format_scaling_table,
-    scaling_curve,
-    synthetic_swarm_positions,
-)
 from repro.experiments.scenarios import COMM_RANGE, ROBOT_COUNT, SCENARIOS, ScenarioSpec, get_scenario
 from repro.experiments.zoo import (
     FAMILIES as ZOO_FAMILIES,
@@ -101,7 +96,6 @@ __all__ = [
     "build_schedule",
     "crashrec_passed",
     "evaluate_trajectory",
-    "format_scaling_table",
     "format_table",
     "get_scenario",
     "lemma1_example",
@@ -119,10 +113,8 @@ __all__ = [
     "run_loadgen_fleet",
     "run_scenario",
     "run_scenarios",
-    "scaling_curve",
     "sweep_many",
     "sweep_separations",
-    "synthetic_swarm_positions",
     "write_report",
     "write_sweep_figures",
 ]

@@ -41,8 +41,6 @@ def build_report(
     mission_seeds: int = 1,
     mission_epochs: int = 3,
     mission_families: Sequence[str] | None = None,
-    scaling: bool = False,
-    scaling_sizes: Sequence[int] | None = None,
     load: bool = False,
     load_clients: int = 200,
     load_seed: int = 0,
@@ -72,11 +70,6 @@ def build_report(
       fresh ``load_service_workers``-shard in-process fleet, with
       latency percentiles and the correctness checklist
       (:func:`repro.experiments.loadgen.render_loadgen`).
-
-    With ``scaling=True`` the report appends swarm-size scaling curves
-    (:mod:`repro.experiments.scaling`): wall-clock and peak allocation
-    per pipeline stage at each size in ``scaling_sizes`` (default
-    100 / 1 000 / 10 000).
     """
     ids = sorted(scenario_ids or SCENARIOS)
     tracer = Tracer()
@@ -189,28 +182,6 @@ def build_report(
             "C = 1 across incremental replans, and disk-map cache reuse.",
             render_missions(mission_summary),
         ))
-    if scaling:
-        from repro.experiments.scaling import (
-            DEFAULT_SIZES,
-            format_scaling_table,
-            scaling_curve,
-        )
-
-        sizes = list(scaling_sizes) if scaling_sizes else list(DEFAULT_SIZES)
-        curve = scaling_curve(sizes=sizes)
-        parts.extend([
-            "",
-            "## Scaling curves",
-            "",
-            f"Synthetic uniform swarms (constant density, seed "
-            f"{curve['seed']}, comm range {curve['comm_range']:g} m) at "
-            f"n = {', '.join(str(n) for n in curve['sizes'])}; each cell is "
-            "wall-clock / peak allocation (tracemalloc) for one pipeline "
-            "stage.  The KD-tree edge set is verified against the "
-            "brute-force oracle at the sizes where the oracle is feasible.",
-            "",
-            format_scaling_table(curve),
-        ])
     if load:
         from repro.experiments.loadgen import (
             LoadgenConfig,

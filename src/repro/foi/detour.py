@@ -32,9 +32,9 @@ parity pass of the same table over every midpoint.
 :func:`paths_blocked_by_holes` applies this to a whole swarm's straight
 paths, so only the blocked robots enter :func:`detour_path_holes`.  Its
 repair loop re-scans only from the segment it just repaired: the
-segments before it were verified free and never change.  The scalar
-``*_scalar`` functions are the original per-edge implementation, kept as
-test oracles; the batch code returns bitwise-identical waypoints.
+segments before it were verified free and never change.  The original
+per-edge implementation is the test oracle (``tests/detour_oracle.py``);
+the batch code returns bitwise-identical waypoints.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def _segment_hits(edges: EdgeTable, p: np.ndarray, q: np.ndarray) -> list[dict[i
     """Intersections of the segments ``[p[i], q[i]]`` with every hole.
 
     Returns one ``{hole index: hits}`` dict per segment, where ``hits``
-    equals :func:`_segment_hole_hits_scalar` for that segment and hole
-    (same floats, same order); holes with no hit are left out.
+    equals the per-edge scalar loop for that segment and hole (same
+    floats, same order); holes with no hit are left out.
     """
     out: list[dict[int, list[Hit]]] = [{} for _ in range(len(p))]
     if len(edges) == 0:
@@ -134,7 +134,7 @@ def _first_blocking(
     edges: EdgeTable, p: np.ndarray, q: np.ndarray
 ) -> list[tuple[int, list[Hit]] | None]:
     """Per segment, ``(hole index, hits)`` of the first hole whose interior
-    it crosses (as :func:`_path_blocked_by_holes_scalar`), or ``None``."""
+    it crosses (as :func:`path_blocked_by_holes`), or ``None``."""
     hits = _segment_hits(edges, p, q)
     # Midpoints between consecutive crossings decide interior passage.
     mids: list[tuple[int, int, int, np.ndarray]] = []
@@ -275,69 +275,3 @@ def detour_path(foi: FieldOfInterest, p, q, margin_fraction: float = 1e-3) -> np
     """:func:`detour_path_holes` over one FoI, with area-relative margin."""
     margin = margin_fraction * max(1.0, float(np.sqrt(foi.area)))
     return detour_path_holes(foi.holes, p, q, margin=margin)
-
-
-# ----------------------------------------------------------------------
-# Scalar per-edge implementation: test oracles for the batch code above.
-# ----------------------------------------------------------------------
-
-
-def _segment_hole_hits_scalar(p, q, hole: Polygon) -> list[Hit]:
-    """Intersections of segment ``[p, q]`` with the hole boundary.
-
-    Returns a list of ``(t, point, edge_index)`` sorted by the segment
-    parameter ``t``.
-    """
-    p = as_point(p)
-    q = as_point(q)
-    hits: list[Hit] = []
-    v = hole.vertices
-    n = len(v)
-    seg = q - p
-    seg_len2 = float(seg @ seg)
-    if seg_len2 < 1e-24:
-        return []
-    for i in range(n):
-        x = segment_intersection_point(p, q, v[i], v[(i + 1) % n])
-        if x is not None:
-            t = float((x - p) @ seg / seg_len2)
-            hits.append((t, x, i))
-    return _merge_hits(hits)
-
-
-def _path_blocked_by_holes_scalar(holes: Sequence[Polygon], p, q) -> int | None:
-    """Scalar :func:`path_blocked_by_holes`."""
-    p = as_point(p)
-    q = as_point(q)
-    first: tuple[float, int] | None = None
-    for idx, hole in enumerate(holes):
-        hits = _segment_hole_hits_scalar(p, q, hole)
-        if len(hits) < 2:
-            continue
-        for (t0, x0, _), (t1, x1, _) in zip(hits, hits[1:]):
-            mid = (x0 + x1) / 2.0
-            if bool(hole.contains(mid, include_boundary=False)):
-                if first is None or t0 < first[0]:
-                    first = (t0, idx)
-                break
-    return None if first is None else first[1]
-
-
-def _detour_path_holes_scalar(
-    holes: Sequence[Polygon], p, q, margin: float = 1.0
-) -> np.ndarray:
-    """Scalar :func:`detour_path_holes`: re-scans every segment after
-    each repair."""
-    p = as_point(p)
-    q = as_point(q)
-    path = [p.copy(), q.copy()]
-    for _ in range(_MAX_DETOURS):
-        for seg_idx in range(len(path) - 1):
-            hole_idx = _path_blocked_by_holes_scalar(holes, path[seg_idx], path[seg_idx + 1])
-            if hole_idx is not None:
-                break
-        else:
-            return np.array(path)
-        hits = _segment_hole_hits_scalar(path[seg_idx], path[seg_idx + 1], holes[hole_idx])
-        path[seg_idx + 1 : seg_idx + 1] = _detour_arc(holes[hole_idx], hits, margin)
-    raise GeometryError("detour did not converge; hole layout too complex")

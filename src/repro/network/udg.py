@@ -11,9 +11,9 @@ call at a range widened by ``1e-9``), a superset of the in-range pairs,
 so time and memory scale with the *output* size instead of ``n^2``.
 Each candidate is then decided by the exact predicate: squared distance
 away from ``comm_range**2``, the oracle's ``hypot`` within a narrow band
-around it.  The dense-distance-matrix construction survives as
-:func:`_udg_edges_bruteforce`, the oracle the property tests compare
-against; both return bitwise-identical edge arrays.
+around it.  The dense-distance-matrix construction it replaced is the
+test oracle (``tests/network_oracle.py``); both return
+bitwise-identical edge arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.vec import as_points, neighbor_pairs, pairwise_distances
+from repro.geometry.vec import as_points, neighbor_pairs
 from repro.network.graphs import (
     adjacency_from_csr,
     component_labels,
@@ -43,33 +43,15 @@ _EMPTY_EDGES = np.zeros((0, 2), dtype=int)
 _BAND = 1e-9
 
 
-def _udg_edges_bruteforce(positions, comm_range: float) -> np.ndarray:
-    """Dense ``O(n^2)`` edge construction (test oracle).
-
-    This is the original implementation: materialises the full pairwise
-    distance matrix and masks the upper triangle.  Kept as the ground
-    truth the KD-tree path must match bitwise.
-    """
-    pts = as_points(positions)
-    if comm_range <= 0:
-        raise GeometryError("communication range must be positive")
-    if len(pts) < 2:
-        return _EMPTY_EDGES.copy()
-    d = pairwise_distances(pts)
-    iu, ju = np.triu_indices(len(pts), k=1)
-    mask = d[iu, ju] <= comm_range
-    return np.column_stack([iu[mask], ju[mask]]).astype(int)
-
-
 def udg_edges(positions, comm_range: float) -> np.ndarray:
     """All undirected links ``(i, j)`` with ``i < j`` within ``comm_range``.
 
     Returns an ``(m, 2)`` int array (empty when no pair is in range),
     rows sorted.  Candidates come from :func:`neighbor_pairs` -
     ``O(n log n + candidates)`` time and memory - and the result is
-    bitwise-identical to :func:`_udg_edges_bruteforce`: candidate pairs
-    are filtered on squared distance (no sqrt), with a narrow band
-    around ``comm_range**2`` re-tested using the oracle's exact
+    bitwise-identical to the dense distance-matrix oracle: candidate
+    pairs are filtered on squared distance (no sqrt), with a narrow
+    band around ``comm_range**2`` re-tested using the oracle's exact
     ``hypot`` predicate.  At a range whose square underflows the
     relative band means nothing, so every candidate is re-tested there.
     """

@@ -27,6 +27,7 @@ from repro.geometry.edges import EdgeTable
 from repro.marching import MarchingConfig, MarchingPlanner
 from repro.obs import Tracer, activate
 from repro.robots import RadioSpec, Swarm, detoured_transition
+from tests import detour_oracle
 
 # Integer-vertex holes: integer segment endpoints then pass exactly
 # through vertices, overlap edges collinearly and graze corners.
@@ -84,7 +85,7 @@ class TestHitsMatchScalarOracle:
         got = detour._segment_hits(EdgeTable(holes), p, q)
         for i in range(len(p)):
             for h, hole in enumerate(holes):
-                want = detour._segment_hole_hits_scalar(p[i], q[i], hole)
+                want = detour_oracle.segment_hole_hits(p[i], q[i], hole)
                 assert _key(got[i].get(h, [])) == _key(want)
 
     @settings(max_examples=300, deadline=None)
@@ -96,7 +97,7 @@ class TestHitsMatchScalarOracle:
         q = np.array([s[1] for s in segments])
         mask = paths_blocked_by_holes(holes, p, q)
         for i in range(len(p)):
-            want = detour._path_blocked_by_holes_scalar(holes, p[i], q[i])
+            want = detour_oracle.path_blocked_by_holes(holes, p[i], q[i])
             assert path_blocked_by_holes(holes, p[i], q[i]) == want
             assert mask[i] == (-1 if want is None else want)
 
@@ -122,10 +123,10 @@ def _oracle_transition(p, q, fois):
     margin = 1e-3 * max(1.0, float(np.sqrt(max(areas))))
     out = []
     for a, b in zip(p, q):
-        if detour._path_blocked_by_holes_scalar(holes, a, b) is None:
+        if detour_oracle.path_blocked_by_holes(holes, a, b) is None:
             out.append(np.vstack([a, b]))
         else:
-            out.append(detour._detour_path_holes_scalar(holes, a, b, margin=margin))
+            out.append(detour_oracle.detour_path_holes(holes, a, b, margin=margin))
     return out
 
 
@@ -196,10 +197,10 @@ class TestFreeRegionGuarantee:
         assume(all(_star_about_centroid(h) for h in holes))
         assume(not any(h.contains(x) for h in holes for x in (p, q)))
         path = detour_path_holes(holes, p, q, margin=margin)
-        assert _bits(path) == _bits(detour._detour_path_holes_scalar(holes, p, q, margin))
+        assert _bits(path) == _bits(detour_oracle.detour_path_holes(holes, p, q, margin))
         assert np.array_equal(path[0], p) and np.array_equal(path[-1], q)
         for a, b in zip(path, path[1:]):
-            assert detour._path_blocked_by_holes_scalar(holes, a, b) is None
+            assert detour_oracle.path_blocked_by_holes(holes, a, b) is None
         for hole in holes:
             strictly_inside = hole.contains(path, include_boundary=False) & (
                 hole.boundary_distances(path) > 1e-9

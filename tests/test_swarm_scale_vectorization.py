@@ -29,12 +29,6 @@ from repro.coverage import (
 )
 from repro.coverage.lloyd import _connectivity_safe_step
 from repro.errors import GeometryError, PlanningError
-from repro.experiments.scaling import (
-    format_scaling_table,
-    scaling_curve,
-    stage_lookup,
-    synthetic_swarm_positions,
-)
 from repro.geometry import TriangleLocator, barycentric_coords_paired
 from repro.geometry.vec import (
     _nearest_index_dense,
@@ -51,10 +45,9 @@ from repro.harmonic.boundary import boundary_parameterization, circle_positions
 from repro.harmonic.transfer import InducedMap
 from repro.mesh.delaunay import delaunay_mesh
 from repro.network import UnitDiskGraph, udg_edges
-from repro.network.udg import _udg_edges_bruteforce
 from repro.obs import Metrics, activate_metrics
 from repro.robots.motion import SwarmTrajectory
-from tests import geometry_oracle
+from tests import geometry_oracle, network_oracle
 from tests import trajectory_oracle as oracle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -74,7 +67,7 @@ class TestSpatialHashUdg:
     @settings(max_examples=120, deadline=None)
     def test_matches_bruteforce(self, pts, r):
         arr = np.array(pts, dtype=float).reshape(-1, 2)
-        assert np.array_equal(udg_edges(arr, r), _udg_edges_bruteforce(arr, r))
+        assert np.array_equal(udg_edges(arr, r), network_oracle.udg_edges(arr, r))
 
     @given(seed=st.integers(0, 2**16), n=st.integers(2, 200))
     @settings(max_examples=40, deadline=None)
@@ -83,7 +76,7 @@ class TestSpatialHashUdg:
         scale = 10.0 ** float(rng.integers(-3, 4))
         pts = rng.uniform(-scale, scale, size=(n, 2))
         r = float(rng.uniform(0.05, 1.5)) * scale
-        assert np.array_equal(udg_edges(pts, r), _udg_edges_bruteforce(pts, r))
+        assert np.array_equal(udg_edges(pts, r), network_oracle.udg_edges(pts, r))
 
     def test_points_exactly_at_comm_range(self):
         # The boundary predicate is inclusive; pairs at exactly r must
@@ -95,25 +88,25 @@ class TestSpatialHashUdg:
             [2 * r, 0.0], [0.0, 2 * r],
         ])
         fast = udg_edges(pts, r)
-        slow = _udg_edges_bruteforce(pts, r)
+        slow = network_oracle.udg_edges(pts, r)
         assert np.array_equal(fast, slow)
         assert [0, 1] in fast.tolist()
 
     def test_empty_swarm(self):
         empty = np.zeros((0, 2))
         assert udg_edges(empty, 1.0).shape == (0, 2)
-        assert np.array_equal(udg_edges(empty, 1.0), _udg_edges_bruteforce(empty, 1.0))
+        assert np.array_equal(udg_edges(empty, 1.0), network_oracle.udg_edges(empty, 1.0))
 
     def test_all_coincident(self):
         pts = np.ones((25, 2)) * 3.5
         fast = udg_edges(pts, 1.0)
-        assert np.array_equal(fast, _udg_edges_bruteforce(pts, 1.0))
+        assert np.array_equal(fast, network_oracle.udg_edges(pts, 1.0))
         assert len(fast) == 25 * 24 // 2
 
     def test_huge_coordinate_spread(self):
         # Coordinates far apart at a small range: one pair in range.
         pts = np.array([[0.0, 0.0], [1e18, 1e18], [0.5, 0.5], [1.0, 0.0]])
-        assert np.array_equal(udg_edges(pts, 1.2), _udg_edges_bruteforce(pts, 1.2))
+        assert np.array_equal(udg_edges(pts, 1.2), network_oracle.udg_edges(pts, 1.2))
 
     def test_range_whose_square_underflows(self):
         # r**2 is 0, so the squared-distance shortcut cannot decide any
@@ -121,13 +114,15 @@ class TestSpatialHashUdg:
         r = 1e-201
         pts = np.array([[0.0, 0.0], [1.5 * r, 0.0], [0.0, 0.5 * r], [0.0, 3.0 * r]])
         fast = udg_edges(pts, r)
-        assert np.array_equal(fast, _udg_edges_bruteforce(pts, r))
+        assert np.array_equal(fast, network_oracle.udg_edges(pts, r))
         assert fast.tolist() == [[0, 2]]
 
     def test_10k_fast_and_identical_at_1k(self):
-        pts = synthetic_swarm_positions(1_000, comm_range=80.0, seed=3)
+        # Uniform over a square sized for a mean degree near 10.
+        side = np.sqrt(1_000 * np.pi * 80.0**2 / 10.0)
+        pts = np.random.default_rng(3).uniform(0.0, side, size=(1_000, 2))
         assert np.array_equal(
-            udg_edges(pts, 80.0), _udg_edges_bruteforce(pts, 80.0)
+            udg_edges(pts, 80.0), network_oracle.udg_edges(pts, 80.0)
         )
 
 
@@ -372,49 +367,6 @@ class TestVectorizedTrajectorySampling:
             mixed_trajectory.positions_over([0.0], side="up")
 
 
-class TestScalingCurve:
-    def test_synthetic_density_constant(self):
-        r = 50.0
-        small = synthetic_swarm_positions(100, r, seed=1)
-        large = synthetic_swarm_positions(400, r, seed=1)
-        assert small.shape == (100, 2)
-        assert large.shape == (400, 2)
-        # Area scales linearly with n -> side scales with sqrt(n).
-        assert np.ptp(large[:, 0]) / np.ptp(small[:, 0]) == pytest.approx(
-            2.0, rel=0.1
-        )
-
-    def test_curve_rows_complete(self):
-        curve = scaling_curve(sizes=(50, 100), verify_max_n=100)
-        by_key = stage_lookup(curve)
-        stages = {r["stage"] for r in curve["rows"]}
-        assert "network.udg_edges" in stages
-        assert "harmonic.solve_warm" in stages
-        assert "geometry.locate_batch" in stages
-        for stage in stages:
-            for n in (50, 100):
-                row = by_key[(stage, n)]
-                assert row["seconds"] >= 0.0
-                assert row["peak_bytes"] > 0
-
-    def test_table_renders_all_stages(self):
-        curve = scaling_curve(sizes=(50,), verify_max_n=50)
-        table = format_scaling_table(curve)
-        assert "| n=50 |" in table
-        for r in curve["rows"]:
-            assert f"| {r['stage']} |" in table
-
-    def test_report_scaling_section(self):
-        from repro.experiments.report import build_report
-
-        text = build_report(
-            scenario_ids=[1], scaling=True, scaling_sizes=[50, 80]
-        )
-        assert "## Scaling curves" in text
-        assert "| network.udg_edges |" in text
-        assert "n=80" in text
-
-
 # Coordinates that produce exact ties (small integers and halves), wide
 # spreads and near-coincident points.
 _coord = st.one_of(
@@ -656,7 +608,8 @@ def test_10k_robot_lloyd_memory_bounded():
 
 def test_one_spatial_query_layer():
     """``geometry/vec.py`` is the only module that builds a KD-tree; the
-    unit-disk cell grid and the single-point locator twins stay gone."""
+    unit-disk cell grid, the single-point locator twins, the dense
+    unit-disk edge builder and the scalar detour twins stay gone."""
     sources = {
         str(path.relative_to(SRC / "repro")): path.read_text()
         for path in (SRC / "repro").rglob("*.py")
@@ -668,6 +621,8 @@ def test_one_spatial_query_layer():
         r"def locate_nearest\(",
         r"def map_point\(",
         r"barycentric_coords_many",
+        r"_udg_edges_bruteforce",
+        r"_scalar\(",
     ]
     found = {
         pattern: sorted(name for name, text in sources.items() if re.search(pattern, text))
