@@ -13,7 +13,10 @@ CI runs each name in :data:`SMOKES` as one entry of its ``smoke`` job:
   recovery; every zoo invariant plus ``--replay`` round trips; C = 1
   and a disk-map cache hit on every mission) and rejects bad input;
 * ``scaling`` - the 10 000-robot unit-disk graph builds in under 2 s
-  and 100 MB, and 1 000 robots cost well under 100x what 100 do;
+  and 100 MB, 1 000 robots cost well under 100x what 100 do, and on a
+  10 000-robot zoo ``rough/0`` plan the certified
+  ``connectivity_report`` equals the uncertified sampler's, field for
+  field (both wall-clocks printed, no time bound);
 * ``load`` - two seeded 200-client bursts against fresh 2-shard
   servers: exact dedup, zero 5xx, p99 budgets, identical summaries;
 * ``crash`` - SIGKILL at mission epochs 1 and 2 and a SIGTERM drain lose
@@ -217,6 +220,53 @@ def smoke_scaling(tmp: Path) -> None:
     assert seconds < 2.0, f"10k UDG took {seconds:.2f}s"
     assert peak < 100e6, f"10k UDG peaked at {peak / 1e6:.0f} MB"
     assert np.all(edges[:, 0] < edges[:, 1]), "edge list not canonical"
+
+    from repro.experiments.zoo.campaign import ZooConfig, build_zoo_scenario
+    from repro.marching import MarchingPlanner
+    from repro.metrics import ConnectivityReport, connectivity_report, isolated_counts
+    from repro.robots import SwarmTrajectory
+
+    zoo = ZooConfig(robot_count=10_000, foi_target_points=3000,
+                    grid_target=30_000, separation_factor=5.0)
+    scenario = build_zoo_scenario("rough", 0, zoo)
+    plan = MarchingPlanner(zoo.marching_config("ours (a)")).plan(
+        scenario.swarm, scenario.m2, source_foi=scenario.m1
+    )
+    traj, comm_range = plan.trajectory, plan.links.comm_range
+    anchors = [int(a) for a in plan.boundary_anchors]
+
+    def sampled(fresh):
+        """``connectivity_report``'s fields from ``isolated_counts`` with no
+        certified links: every instant sampled."""
+        right, left = fresh.sample_times(32), fresh.discontinuity_times()
+        counts = np.concatenate([
+            isolated_counts(fresh, comm_range, anchors, right),
+            isolated_counts(fresh, comm_range, anchors, left, side="left"),
+        ])
+        failed = counts > 0
+        return ConnectivityReport(
+            connected=not failed.any(),
+            first_failure_time=(float(np.concatenate([right, left])[failed].min())
+                                if failed.any() else None),
+            max_isolated=int(counts.max(initial=0)),
+            samples=len(counts),
+            left_limit_isolated=int(counts[len(right):].max(initial=0)),
+        )
+
+    reports = {}
+    for name, check in (
+        ("certified", lambda fresh: connectivity_report(fresh, comm_range, anchors)),
+        ("sampled", sampled),
+    ):
+        # A fresh trajectory each time, so neither run reuses the other's
+        # cached row tables.
+        fresh = SwarmTrajectory(traj.offsets, traj.times, traj.xy,
+                                traj.t_start, traj.t_end)
+        t0 = time.perf_counter()
+        reports[name] = check(fresh)
+        print(f"10k rough/0 C check, {name}: "
+              f"{time.perf_counter() - t0:.3f}s {reports[name]}")
+    assert reports["certified"] == reports["sampled"], "certified C report differs"
 
 
 def smoke_load(tmp: Path) -> None:

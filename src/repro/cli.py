@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_plan = sub.add_parser(
         "plan",
-        help="plan one scenario transition and report per-stage timings",
+        help="plan one scenario transition, check its C and report per-stage timings",
         parents=[common],
     )
     p_plan.add_argument("scenario_id", type=int, choices=range(1, 8))
@@ -510,6 +510,7 @@ def _cmd_pipeline(args) -> int:
 def _cmd_plan(args) -> int:
     from repro.experiments import get_scenario
     from repro.marching import MarchingConfig, run_pipeline
+    from repro.metrics import connectivity_report
     from repro.obs import get_tracer
     from repro.robots import RadioSpec, Swarm
 
@@ -529,6 +530,11 @@ def _cmd_plan(args) -> int:
         f"({result.rotation_evaluations} objective evaluations)"
     )
     print(f"  total distance : {result.total_distance / 1000:.2f} km")
+    report = connectivity_report(
+        result.trajectory, result.links.comm_range, result.boundary_anchors
+    )
+    print(f"  connectivity   : C = {int(report.connected)} "
+          f"({report.samples} instants)")
     tracer = get_tracer()
     if tracer.enabled:
         print("  phase timings:")

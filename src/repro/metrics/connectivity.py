@@ -17,9 +17,24 @@ is up under the unit-disk predicate (``hypot <= r``, the test
 is connected, so no robot is isolated, with anchors or without.  A
 connected instant that is evaluated in full therefore seeds a witness
 (:func:`~repro.network.graphs.spanning_tree` of its links), and the
-instants after it with the same present robots test only those
-``n - 1`` links, a block at a time; the first one where a tree link is
-down, or the present set changes, gets a full graph again.
+instants after it with the same present robots test only the tree
+links that are not *certified*, a block at a time; the first one where
+such a link is down, or the present set changes, gets a full graph
+again.
+
+Certified links are links the caller knows to be up at every instant
+it asks about.  :func:`connectivity_report` takes them from the link
+kernel: the links at ``t_start`` that
+:func:`~repro.network.links.links_alive_throughout` keeps within the
+range less :func:`_rounding_band` for the whole transition, which keeps
+them within the range at every instant the sampler evaluates.  If they
+connect the swarm, ``C = 1`` at every instant and nothing is sampled.
+Otherwise the witness prefers them (they weigh least), so each tree is
+their forest plus ``c - 1`` *bridges*, only the bridges are tested, and
+while the bridges' endpoints are fewer than ``_SWARM_SHARE`` of the
+robots only their positions are read.  The counts do not depend on
+which tree is the witness, so the certificate changes the work and
+never the report.
 """
 
 from __future__ import annotations
@@ -29,9 +44,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.network.graphs import spanning_tree
-from repro.network.links import links_alive
-from repro.network.udg import UnitDiskGraph
+from repro.network.graphs import component_labels, spanning_tree
+from repro.network.links import (
+    _SWARM_SHARE, LinkTable, links_alive, links_alive_throughout,
+)
+from repro.network.udg import UnitDiskGraph, udg_edges
 from repro.obs import span
 from repro.robots.motion import SwarmTrajectory
 
@@ -42,9 +59,9 @@ __all__ = [
 
 # Instants whose witness links are tested in one vectorised call.
 _WITNESS_BLOCK = 32
-# Instants whose positions are fetched from the trajectory at once, so
-# memory stays O(n) however many instants are evaluated.  Every sampler
-# over a whole transition reads this one constant.
+# Instants whose positions :func:`_position_blocks` fetches from the
+# trajectory at once, so memory stays O(n) however many instants a
+# sampler over a whole transition reads.
 _POSITION_BLOCK = 64
 
 
@@ -95,19 +112,25 @@ def isolated_counts(
     *,
     side: str = "right",
     alive_until=None,
+    certified=None,
 ) -> np.ndarray:
     """Isolated robots at each of ``times`` (``side``-limits at jumps).
 
     ``anchors`` are the boundary robot indices (``None``/empty: plain
     connectivity).  ``alive_until`` holds per-robot crash times (``inf``
     = never); robot ``j`` is present at ``t`` iff ``t < alive_until[j]``,
-    and absent robots neither count nor relay.  Returns a ``(k,)`` int
-    array.
+    and absent robots neither count nor relay.  ``certified`` holds
+    ``(m, 2)`` links the caller knows to be up at every one of ``times``
+    from ``side``: a witness takes them first and never tests them.
+    Returns a ``(k,)`` int array, whatever ``certified`` is.
 
     An instant is evaluated in full (one unit-disk graph) unless the
     spanning-tree witness of the last full evaluation still holds at it:
     same present robots, every tree link up.  Then it is connected and
-    its count is 0.
+    its count is 0.  A full graph reads the positions of its own instant;
+    a witness reads ``_WITNESS_BLOCK`` instants at a time, of only its
+    tested links' robots while they are fewer than ``_SWARM_SHARE`` of
+    the swarm (:func:`_watch`).
     """
     ts = np.asarray(times, dtype=float)
     n = trajectory.robot_count
@@ -121,9 +144,13 @@ def isolated_counts(
         alive_until = np.asarray(alive_until, dtype=float)
         if alive_until.shape != (n,):
             raise GeometryError(f"alive_until must have shape ({n},)")
+    keys = None
+    if certified is not None:
+        pairs = np.sort(np.asarray(certified, dtype=np.int64).reshape(-1, 2), axis=1)
+        keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
     counts = np.zeros(len(ts), dtype=int)
     with span("metrics.connectivity", samples=len(ts)) as sp:
-        graphs = certified = 0
+        graphs = certified_instants = bridges = 0
         # Instants share a present set exactly when they share the
         # number of crash times at or before them.
         epoch = (
@@ -131,23 +158,21 @@ def isolated_counts(
             else np.searchsorted(np.sort(alive_until), ts, side="right")
         )
         all_anchors = np.flatnonzero(is_anchor).tolist()
-        tree, tree_epoch, k, lo, end = None, None, 0, 0, 0
+        tree, tree_epoch, k = None, None, 0
         while k < len(ts):
-            if k == end:
-                lo, end = k, min(k + _POSITION_BLOCK, len(ts))
-                table = trajectory.positions_over(ts[lo:end], side=side)
             if tree is not None and epoch[k] == tree_epoch:
-                stop = k + _leading(epoch[k:min(k + _WITNESS_BLOCK, end)] == tree_epoch)
+                stop = k + _leading(epoch[k:k + _WITNESS_BLOCK] == tree_epoch)
                 held = _leading(
-                    links_alive(tree, table[k - lo:stop - lo], comm_range).all(axis=1)
+                    _links_up(trajectory, tree, ts[k:stop], side, comm_range)
                 )
-                certified += held
+                certified_instants += held
                 k += held
                 if k < stop:
                     tree = None
                 continue
             tree = None
-            snapshot, local, present = table[k - lo], all_anchors, None
+            snapshot = trajectory.positions_over(ts[k:k + 1], side=side)[0]
+            local, present = all_anchors, None
             if alive_until is not None:
                 present = np.flatnonzero(ts[k] < alive_until)
                 if not len(present):
@@ -163,12 +188,38 @@ def isolated_counts(
                 counts[k] = graph.node_count - len(graph.components[0])
             if (k + 1 < len(ts) and epoch[k + 1] == epoch[k]
                     and graph.is_connected()):
-                tree, tree_epoch = _witness(graph), epoch[k]
-                if present is not None:
-                    tree = present[tree]
+                tested = _witness(graph, present, keys, n)
+                bridges = max(bridges, len(tested))
+                tree, tree_epoch = _watch(tested, n), epoch[k]
             k += 1
-        sp.set_attributes(graphs=graphs, certified=certified)
+        sp.set_attributes(
+            graphs=graphs, certified=certified_instants,
+            certified_links=0 if keys is None else len(keys), bridges=bridges,
+        )
     return counts
+
+
+def _watch(links: np.ndarray, n: int):
+    """``(links, robots)``: the tested links over the robots read for
+    them, while those are fewer than ``_SWARM_SHARE`` of the ``n``
+    robots; ``(links, None)`` (every robot read) otherwise."""
+    robots = np.unique(links)
+    if len(robots) < _SWARM_SHARE * n:
+        return np.searchsorted(robots, links), robots
+    return links, None
+
+
+def _links_up(trajectory: SwarmTrajectory, watched, ts: np.ndarray,
+              side: str, comm_range: float) -> np.ndarray:
+    """``(k,)`` bool: every watched link up at each of ``ts``."""
+    links, robots = watched
+    if not len(links):
+        return np.ones(len(ts), dtype=bool)
+    if robots is None:
+        table = trajectory.positions_over(ts, side=side)
+    else:
+        table = trajectory.positions_of(robots, ts[:, None], side=side)
+    return links_alive(links, table, comm_range).all(axis=1)
 
 
 def _leading(mask: np.ndarray) -> int:
@@ -176,11 +227,67 @@ def _leading(mask: np.ndarray) -> int:
     return len(mask) if mask.all() else int(np.argmin(mask))
 
 
-def _witness(graph: UnitDiskGraph) -> np.ndarray:
-    """A spanning tree of a connected graph's links, longest link minimised."""
+def _witness(graph: UnitDiskGraph, present, keys, n: int) -> np.ndarray:
+    """The links a witness of a connected graph tests, as robot indices.
+
+    A spanning tree of the graph's links, longest link minimised; with
+    certified link ``keys`` (``i * n + j``, sorted) it is built from them
+    first and only its other links - the bridges - are returned.
+    ``present`` maps the graph's nodes to robots (``None``: the same).
+    """
     e = graph.edges
     d = graph.positions[e[:, 0]] - graph.positions[e[:, 1]]
-    return spanning_tree(graph.node_count, e, np.hypot(d[:, 0], d[:, 1]))
+    lengths = np.hypot(d[:, 0], d[:, 1])
+    if keys is not None and len(e):
+        # Certified links weigh least (1 in spanning_tree's ``1 + w``),
+        # every other one more than 2, shorter ones still lighter.
+        preferred = _member(e if present is None else present[e], keys, n)
+        lengths = np.where(preferred, 0.0, 1.0 + lengths / (1.0 + lengths.max()))
+    tree = spanning_tree(graph.node_count, e, lengths)
+    if present is not None:
+        tree = present[tree]
+    return tree if keys is None else tree[~_member(tree, keys, n)]
+
+
+def _member(pairs: np.ndarray, keys: np.ndarray, n: int) -> np.ndarray:
+    """Which ``i < j`` robot pairs have their key ``i * n + j`` in ``keys``."""
+    q = pairs[:, 0] * n + pairs[:, 1]
+    if not len(keys):
+        return np.zeros(len(q), dtype=bool)
+    return np.take(keys, np.searchsorted(keys, q), mode="clip") == q
+
+
+def _rounding_band(trajectory: SwarmTrajectory, comm_range: float) -> float:
+    """How far inside ``comm_range`` a certified link must stay.
+
+    Between its robots' rows a link's exact distance is convex, so the
+    kernel's instants bound it; the positions both the kernel and the
+    sampler compute (``_slide``, ``_blend``) are each within ``6 eps M``
+    per coordinate of the exact point, ``M = max|xy|``, so a computed
+    distance is within ``19 eps M + eps r`` of the exact one.  A link
+    within ``r - 38 eps M - 2 eps r`` at every kernel instant is thus
+    within ``r`` at every instant the sampler computes; the band below
+    covers that with room.
+    """
+    scale = float(np.abs(trajectory.xy).max())
+    return 1e-9 * comm_range + 64 * np.finfo(float).eps * scale
+
+
+def _certified_links(trajectory: SwarmTrajectory, comm_range: float,
+                     times: np.ndarray) -> np.ndarray:
+    """The links at ``t_start`` that stay up at every instant of ``times``.
+
+    Each is proved by :func:`~repro.network.links.links_alive_throughout`
+    at the range less :func:`_rounding_band`.  The kernel tests only
+    from ``t_start`` to ``t_end``, so ``times`` reaching outside that
+    interval (the ``1e-9`` tolerance of the critical times) get none.
+    """
+    if times.min() < trajectory.t_start or times.max() > trajectory.t_end:
+        return np.zeros((0, 2), dtype=int)
+    start = trajectory.positions_over([trajectory.t_start])[0]
+    links = udg_edges(start, comm_range)
+    shrunk = LinkTable(links, comm_range - _rounding_band(trajectory, comm_range))
+    return links[links_alive_throughout(shrunk, trajectory)]
 
 
 def global_connectivity(
@@ -205,13 +312,34 @@ def connectivity_report(
 
     ``boundary_anchors`` are the robot indices forming the network
     boundary; ``None`` requires plain connectivity of the whole graph.
+    The certified links at ``t_start`` (:func:`_certified_links`) come
+    first: when they connect the swarm the report is returned without
+    sampling, and otherwise :func:`isolated_counts` tests only the
+    bridges between their components.  The report is the one
+    :func:`isolated_counts` gives without them, field for field.  The
+    ``metrics.connectivity_report`` span records the
+    ``certified_links``, their ``components`` and whether they
+    ``proved`` ``C = 1``.
     """
     anchors = None if boundary_anchors is None else [int(a) for a in boundary_anchors]
     right = trajectory.sample_times(resolution)
     left = trajectory.discontinuity_times()
-    right_counts = isolated_counts(trajectory, comm_range, anchors, right)
-    left_counts = isolated_counts(trajectory, comm_range, anchors, left, side="left")
     times = np.concatenate([right, left])
+    with span("metrics.connectivity_report", samples=len(times)) as sp:
+        certified = _certified_links(trajectory, comm_range, times)
+        labels = component_labels(trajectory.robot_count, certified)
+        components = int(labels.max()) + 1
+        sp.set_attributes(certified_links=len(certified),
+                          components=components, proved=components == 1)
+        if components == 1:
+            return ConnectivityReport(
+                connected=True, first_failure_time=None, max_isolated=0,
+                samples=len(times), left_limit_isolated=0,
+            )
+        right_counts = isolated_counts(trajectory, comm_range, anchors, right,
+                                       certified=certified)
+        left_counts = isolated_counts(trajectory, comm_range, anchors, left,
+                                      side="left", certified=certified)
     counts = np.concatenate([right_counts, left_counts])
     failed = counts > 0
     return ConnectivityReport(

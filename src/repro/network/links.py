@@ -164,16 +164,16 @@ def _clear_broken(links, trajectory, picked, side, alive) -> int:
     Returns the number of link-row evaluations.
     """
     owner = trajectory.row_robots[picked]
-    instant = trajectory.row_instants[picked]
+    t = trajectory.times[picked]
     count = np.bincount(owner, minlength=trajectory.robot_count)
     start = np.cumsum(count) - count
-    mine = trajectory.positions_of(owner, instant, side)
+    mine = trajectory.positions_of(owner, t, side)
     # Each link's entries: robot a's picked rows, then robot b's.
     pairs = np.asarray(links.links, dtype=np.int64).reshape(-1, 2)
     me, you = pairs.T.reshape(-1), pairs[:, ::-1].T.reshape(-1)
     entry = expand_ragged(start[me], count[me])
     d = np.take(mine, entry, axis=0)
-    d -= trajectory.positions_of(np.repeat(you, count[me]), instant[entry], side)
+    d -= trajectory.positions_of(np.repeat(you, count[me]), t[entry], side)
     far = np.flatnonzero(np.hypot(d[:, 0], d[:, 1]) > links.comm_range)
     if len(far):
         link = np.searchsorted(np.cumsum(count[me]), far, side="right")

@@ -24,8 +24,7 @@ Every query is one vectorised pass, bitwise equal to a per-robot rule
 the tests keep: :meth:`~SwarmTrajectory.positions_over` follows
 ``np.interp``'s branches from the right and a clipped-alpha blend from
 the left, and :meth:`~SwarmTrajectory.positions_of` asks the same two
-formulas for one robot at one of the trajectory's own
-:attr:`~SwarmTrajectory.instants` per entry;
+formulas for one robot at one time per entry;
 :meth:`~SwarmTrajectory.positions_at` takes the blend clamped to the
 end waypoints, and per-robot sums reduce each robot's run in numpy's
 own 1-D order (:func:`_runs`).  DESIGN.md ("How a transition is
@@ -355,22 +354,25 @@ class SwarmTrajectory:
         j = self._rows(ts, side)
         return rule(ts[:, None], j, self.offsets[:-1], self.offsets[1:] - 1)
 
-    def positions_of(self, robots, instants, side: str = "right") -> np.ndarray:
-        """Robot ``robots[k]`` at ``self.instants[instants[k]]``: shape ``(q, 2)``.
+    def positions_of(self, robots, times, side: str = "right") -> np.ndarray:
+        """Robot ``robots[k]`` at ``times[k]``, the two broadcast together.
 
-        The per-(robot, instant) form of :meth:`positions_over`, bitwise
-        equal to its entry at that robot and instant on either side.  The
-        robot's row comes from one ``searchsorted`` over the integer keys
-        ``robot * len(instants) + rank``, so a query costs ``log N``, not
-        a pass over every robot.
+        The per-(robot, time) form of :meth:`positions_over`, bitwise
+        equal to its entry at that robot and time on either side: shape
+        ``broadcast(robots, times).shape + (2,)``, so ``(q,)`` robots
+        against ``(k, 1)`` times give a ``(k, q, 2)`` table of those
+        robots only.  One ``searchsorted`` over :attr:`instants` counts
+        the instants at or before each time (before it, from the left),
+        and one over the integer keys ``robot * len(instants) + rank``
+        finds the robot's row, so a query costs ``log N``, not a pass
+        over every robot.
         """
         rule = self._rule(side)
         robots = np.asarray(robots, dtype=np.int64)
-        instants = np.asarray(instants, dtype=np.int64)
-        # Rows with rank <= q (right) or < q (left): the keys below this one.
-        keys = robots * len(self.instants) + instants + (side == "right")
-        j = np.searchsorted(self._instant_keys, keys) - 1
-        t = np.take(self.instants, instants)
+        t = np.asarray(times, dtype=float)
+        # Rows ranked below this bound are at or before t (right) or before it.
+        bound = np.searchsorted(self.instants, t, side=side)
+        j = np.searchsorted(self._instant_keys, robots * len(self.instants) + bound) - 1
         return rule(t, j, self.offsets[robots], self.offsets[robots + 1] - 1)
 
     def _rule(self, side: str):

@@ -280,7 +280,25 @@ class TestAgainstPerRobotOracle:
         robots, at = np.tile(np.arange(n), k), np.repeat(np.arange(k), n)
         for side in ("right", "left"):
             want = traj.positions_over(instants, side=side).reshape(-1, 2)
-            assert oracle.same_bits(traj.positions_of(robots, at, side), want)
+            assert oracle.same_bits(traj.positions_of(robots, instants[at], side), want)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_positions_of_at_any_time(self, data):
+        """Before the first row, on row times, past the last row and at
+        signed zeros, per entry and as a broadcast table."""
+        traj, _ = data.draw(trajectories())
+        n = traj.robot_count
+        ends = [traj.times.min() - 0.5, traj.times.max() + 0.5, 0.0, -0.0]
+        ts = np.concatenate([data.draw(queries(traj)), ends, traj.times])
+        robots = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                             min_size=len(ts), max_size=len(ts))))
+        for side in ("right", "left"):
+            table = traj.positions_over(ts, side=side)
+            got = traj.positions_of(np.arange(n), ts[:, None], side)
+            assert got.shape == table.shape and oracle.same_bits(got, table)
+            want = table[np.arange(len(ts)), robots]
+            assert oracle.same_bits(traj.positions_of(robots, ts, side), want)
 
     def test_positions_of_with_times_a_hair_out_of_order(self):
         # Times may step back by up to 1e-12 within a robot.
@@ -290,9 +308,10 @@ class TestAgainstPerRobotOracle:
         robots, at = np.tile(np.arange(n), k), np.repeat(np.arange(k), n)
         for side in ("right", "left"):
             want = traj.positions_over(traj.instants, side=side).reshape(-1, 2)
-            assert oracle.same_bits(traj.positions_of(robots, at, side), want)
+            got = traj.positions_of(robots, traj.instants[at], side)
+            assert oracle.same_bits(got, want)
         with pytest.raises(PlanningError, match="side"):
-            traj.positions_of([0], [0], side="middle")
+            traj.positions_of([0], [0.0], side="middle")
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
