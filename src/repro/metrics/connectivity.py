@@ -261,13 +261,16 @@ def _rounding_band(trajectory: SwarmTrajectory, comm_range: float) -> float:
     """How far inside ``comm_range`` a certified link must stay.
 
     Between its robots' rows a link's exact distance is convex, so the
-    kernel's instants bound it; the positions both the kernel and the
-    sampler compute (``_slide``, ``_blend``) are each within ``6 eps M``
-    per coordinate of the exact point, ``M = max|xy|``, so a computed
-    distance is within ``19 eps M + eps r`` of the exact one.  A link
-    within ``r - 38 eps M - 2 eps r`` at every kernel instant is thus
-    within ``r`` at every instant the sampler computes; the band below
-    covers that with room.
+    kernel's instants bound it.  Both the kernel and the sampler compute
+    positions by the one blend ``a * x1 + (1 - a) * x0``: ``a`` carries
+    at most 3 roundings, ``1 - a`` one more, each product and the sum
+    one, so a coordinate is within ``(2 + 5a) eps M + eps M <= 8 eps M``
+    of the exact point, ``M = max|xy|`` (an exact row, ``a = 0`` folded,
+    is its own bits).  A computed distance is thus within
+    ``sqrt(2) (16 + 2) eps M + eps r <= 26 eps M + eps r`` of the exact
+    one, and a link within ``r - 52 eps M - 2 eps r`` at every kernel
+    instant is within ``r`` at every instant the sampler computes; the
+    band below covers that with room.
     """
     scale = float(np.abs(trajectory.xy).max())
     return 1e-9 * comm_range + 64 * np.finfo(float).eps * scale

@@ -20,15 +20,16 @@ evaluators must additionally check the left-sided limit at each jump
 (:attr:`SwarmTrajectory.jump_rows`,
 :meth:`SwarmTrajectory.discontinuity_times`).
 
-Every query is one vectorised pass, bitwise equal to a per-robot rule
-the tests keep: :meth:`~SwarmTrajectory.positions_over` follows
-``np.interp``'s branches from the right and a clipped-alpha blend from
-the left, and :meth:`~SwarmTrajectory.positions_of` asks the same two
-formulas for one robot at one time per entry;
-:meth:`~SwarmTrajectory.positions_at` takes the blend clamped to the
-end waypoints, and per-robot sums reduce each robot's run in numpy's
-own 1-D order (:func:`_runs`).  DESIGN.md ("How a transition is
-stored") states the rules in full.
+Every position query is one formula, Eqn. 2's blend
+``a * xy[j+1] + (1 - a) * xy[j]`` on the segment at the robot's last
+row ``j`` with time ``<= t`` (``< t`` from the left), with the row's
+own bits wherever the row itself is exact (:meth:`SwarmTrajectory._blend`).
+:meth:`~SwarmTrajectory.positions_at`,
+:meth:`~SwarmTrajectory.positions_over` and
+:meth:`~SwarmTrajectory.positions_of` differ only in how they find
+``j``, so they agree bitwise; per-robot sums reduce each robot's run in
+numpy's own 1-D order (:func:`_runs`).  DESIGN.md ("How a transition
+is stored") states the rules in full.
 """
 
 from __future__ import annotations
@@ -190,16 +191,6 @@ class SwarmTrajectory:
         """Mask of ``times`` inside ``[t_start, t_end]``, to within ``1e-9``."""
         return (times >= self.t_start - 1e-9) & (times <= self.t_end + 1e-9)
 
-    @cached_property
-    def _slopes(self) -> np.ndarray:
-        """``np.interp``'s per-segment slope; 0 where no segment starts."""
-        dxy = np.diff(self.xy, axis=0)
-        dt = np.diff(self.times)
-        live = self._same_robot & (dt > 0)
-        out = np.zeros_like(self.xy)
-        out[:-1][live] = dxy[live] / dt[live, None]
-        return out
-
     def _rows(self, ts: np.ndarray, side: str) -> np.ndarray:
         """``(k, n)``: each robot's last row with time ``<= t`` (right) or ``< t``.
 
@@ -217,67 +208,56 @@ class SwarmTrajectory:
         rows += self.offsets[:-1] - 1
         return np.take(rows, np.argsort(order), axis=0)
 
-    def _blend(self, t, j, first, last) -> np.ndarray:
-        """``(1 - a) * xy[j] + a * xy[j+1]``, ``a`` clipped, on the segment at ``j``.
+    def _blend(self, t, j, first, last, side: str) -> np.ndarray:
+        """Eqn. 2 on the segment at ``j``: ``a * xy[j+1] + (1 - a) * xy[j]``.
 
-        The left-sided rule; ``first``/``last`` are the owning robots'
-        first and last rows, broadcast against ``j``.
+        The one position rule.  ``j`` is the robot's last row with time
+        ``<= t`` from the right, ``< t`` from the left (``first - 1`` if
+        none), and ``first``/``last`` are the robot's first and last
+        rows, all broadcast against ``t``.  The row itself is exact
+        before the first row, at or past the last and, from the right,
+        on a row's own time: there ``j + 1`` folds to ``j`` (clamped in
+        place) and ``a = 0``, so the blend returns the row's own bits,
+        ``-0.0`` included.  Otherwise ``a = (t - t_j) / (t_{j+1} - t_j)``
+        (0 on a segment of no positive duration).
         """
-        j = np.clip(j, first, np.maximum(first, last - 1))
-        nxt = np.minimum(j + 1, last)
-        t0 = self.times[j]
-        dt = self.times[nxt] - t0
-        pos = dt > 0
-        alpha = np.where(pos, (t - t0) / np.where(pos, dt, 1.0), (t > t0).astype(float))
-        alpha = np.clip(alpha, 0.0, 1.0)[..., None]
-        # np.take gathers whole rows far faster than fancy indexing.
-        out = np.take(self.xy, nxt, axis=0)
-        out *= alpha
-        out += (1.0 - alpha) * np.take(self.xy, j, axis=0)
-        return out
-
-    def _slide(self, t, j, first, last) -> np.ndarray:
-        """``xy[j] + slope[j] * (t - t_j)``: ``np.interp``'s right-sided rule.
-
-        ``j`` is the robot's last row with time ``<= t`` (``first - 1``
-        if none) and is clamped in place; the waypoint itself is exact
-        before the first row, on a row's own time and past the last row.
-        """
-        exact = j < first  # before the first waypoint: the first
+        exact = j < first
         np.maximum(j, first, out=j)
-        tj = np.take(self.times, j)
-        exact |= tj == t
         exact |= j == last
-        xj = np.take(self.xy, j, axis=0)
-        out = np.take(self._slopes, j, axis=0)
-        # Per column and through a full mask: numpy's broadcast over a
-        # trailing axis of 2 costs about twice as much.
-        dt = t - tj
-        out[..., 0] *= dt
-        out[..., 1] *= dt
-        out += xj
-        np.copyto(out, xj, where=np.repeat(exact[..., None], 2, axis=-1))
+        tj = np.take(self.times, j)
+        if side == "right":
+            exact |= tj == t
+        nxt = j + ~exact
+        dt = np.take(self.times, nxt)
+        dt -= tj
+        flat = dt <= 0
+        dt[flat] = 1.0
+        a = np.subtract(t, tj, out=tj)
+        a[flat] = 0.0
+        a /= dt
+        b = np.subtract(1.0, a, out=dt)
+        # np.take gathers whole rows far faster than fancy indexing, and
+        # per-column products beat numpy's broadcast over a trailing 2.
+        out = np.take(self.xy, nxt, axis=0)
+        prev = np.take(self.xy, j, axis=0)
+        out[..., 0] *= a
+        out[..., 1] *= a
+        prev[..., 0] *= b
+        prev[..., 1] *= b
+        out += prev
         return out
 
-    def _position_at(self, t: np.ndarray) -> np.ndarray:
-        """Position of robot ``i`` at ``t[i]``: the blend, clamped to the ends."""
-        first, last = self.offsets[:-1], self.offsets[1:] - 1
-        r = self.row_robots
-        below = np.bincount(r[self.times <= t[r]], minlength=self.robot_count)
-        out = self._blend(t, first - 1 + below, first, last)
-        at_end = t >= self.times[last]
-        out[at_end] = self.xy[last[at_end]]
-        at_start = t <= self.times[first]
-        out[at_start] = self.xy[first[at_start]]
-        return out
+    def _positions(self, ts: np.ndarray, side: str) -> np.ndarray:
+        """The ``(k, n, 2)`` table of :meth:`positions_over` at ``(k,)``
+        times; :meth:`positions_at` reads it too, so neither public
+        query calls the other."""
+        j = self._rows(ts, side)
+        return self._blend(ts[:, None], j, self.offsets[:-1], self.offsets[1:] - 1, side)
 
     def positions_at(self, t: float) -> np.ndarray:
-        """All robot positions at time ``t`` as an ``(n, 2)`` array.
-
-        The pinned crash and mission documents use this blend, which can
-        differ from ``positions_over([t])[0]`` in the last bit.
-        """
-        return self._position_at(np.full(self.robot_count, float(t)))
+        """All robot positions at time ``t`` as an ``(n, 2)`` array: the
+        right limit, ``positions_over([t])[0]`` bit for bit."""
+        return self._positions(np.array([float(t)]), "right")[0]
 
     @property
     def start_positions(self) -> np.ndarray:
@@ -307,8 +287,8 @@ class SwarmTrajectory:
         count = np.bincount(ri, minlength=n)
         offsets = np.concatenate([[0], np.cumsum(count + 2)])
         pts = np.empty((offsets[-1], 2))
-        pts[offsets[:-1]] = self._position_at(np.full(n, float(t0)))
-        pts[offsets[1:] - 1] = self._position_at(t1)
+        pts[offsets[:-1]] = self.positions_at(t0)
+        pts[offsets[1:] - 1] = self.positions_of(np.arange(n), t1)
         # Robot i's inside rows, in order, right after its t0 point.
         earlier = np.cumsum(count) - count
         pts[offsets[ri] + 1 + np.arange(len(ri)) - earlier[ri]] = self.xy[inside]
@@ -349,10 +329,8 @@ class SwarmTrajectory:
         ``"left"`` the position approached from earlier times.  At
         continuous instants both sides agree.
         """
-        rule = self._rule(side)
-        ts = np.asarray(times, dtype=float)
-        j = self._rows(ts, side)
-        return rule(ts[:, None], j, self.offsets[:-1], self.offsets[1:] - 1)
+        _check_side(side)
+        return self._positions(np.asarray(times, dtype=float), side)
 
     def positions_of(self, robots, times, side: str = "right") -> np.ndarray:
         """Robot ``robots[k]`` at ``times[k]``, the two broadcast together.
@@ -367,19 +345,13 @@ class SwarmTrajectory:
         finds the robot's row, so a query costs ``log N``, not a pass
         over every robot.
         """
-        rule = self._rule(side)
+        _check_side(side)
         robots = np.asarray(robots, dtype=np.int64)
         t = np.asarray(times, dtype=float)
         # Rows ranked below this bound are at or before t (right) or before it.
         bound = np.searchsorted(self.instants, t, side=side)
         j = np.searchsorted(self._instant_keys, robots * len(self.instants) + bound) - 1
-        return rule(t, j, self.offsets[robots], self.offsets[robots + 1] - 1)
-
-    def _rule(self, side: str):
-        """The position formula of one side: the slope form or the blend."""
-        if side not in ("right", "left"):
-            raise PlanningError(f"side must be 'left' or 'right', got {side!r}")
-        return self._slide if side == "right" else self._blend
+        return self._blend(t, j, self.offsets[robots], self.offsets[robots + 1] - 1, side)
 
     def then(self, other: "SwarmTrajectory") -> "SwarmTrajectory":
         """Concatenate two trajectories robot-by-robot.
@@ -420,6 +392,11 @@ class SwarmTrajectory:
         xy[dest1], xy[dest2] = self.xy, other.xy[keep]
         offsets = self.offsets + other.offsets - dropped
         return SwarmTrajectory(offsets, times, xy, self.t_start, other.t_end)
+
+
+def _check_side(side: str) -> None:
+    if side not in ("right", "left"):
+        raise PlanningError(f"side must be 'left' or 'right', got {side!r}")
 
 
 def _ragged(offsets, xy) -> tuple[np.ndarray, np.ndarray]:

@@ -29,6 +29,7 @@ from repro.missions import (
     mission_targets,
 )
 from repro.obs import Metrics, activate_metrics
+from tests.trajectory_oracle import same_bits
 
 #: CI-sized knobs: one epoch plans in a couple of seconds.
 FAST = MissionConfig(
@@ -263,3 +264,35 @@ class TestCampaign:
 class TestMotionsConstant:
     def test_motions_tuple(self):
         assert MOTIONS == ("drift", "deform", "drift+deform")
+
+
+def test_handover_freezes_the_snapshot_it_checked(monkeypatch):
+    """The next leg starts from the very positions that ``_cut_time``
+    found connected: ``isolated_counts`` read ``positions_at(t_cut)``
+    bit for bit."""
+    import repro.metrics.connectivity as connectivity
+    import repro.missions.runner as runner
+
+    read = []
+
+    class Recording(connectivity.UnitDiskGraph):
+        def __init__(self, positions, comm_range):
+            read.append(np.array(positions, copy=True))
+            super().__init__(positions, comm_range)
+
+    checked = []
+    cut_time = runner._cut_time
+
+    def recording_cut_time(traj, *args):
+        read.clear()
+        t_cut = cut_time(traj, *args)
+        checked.append((traj, t_cut, read[-1]))
+        return t_cut
+
+    monkeypatch.setattr(connectivity, "UnitDiskGraph", Recording)
+    monkeypatch.setattr(runner, "_cut_time", recording_cut_time)
+    spec = MissionSpec(family="corridor", seed=0, epochs=3, motion="drift")
+    MissionRunner(spec, FAST).run()
+    assert len(checked) == spec.epochs - 1
+    for traj, t_cut, snapshot in checked:
+        assert same_bits(traj.positions_at(t_cut), snapshot)

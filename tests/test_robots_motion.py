@@ -195,8 +195,9 @@ class TestSwarmTrajectory:
 # Step sizes between consecutive time stamps; a zero step duplicates a
 # time stamp (an instantaneous jump when the positions differ).
 steps = st.one_of(st.just(0.0), st.floats(1e-3, 0.6))
-# Signed zeros often: np.interp returns a waypoint's own -0.0 at its
-# time stamp and past the last one, where slope * 0 + -0.0 would not.
+# Signed zeros often: the blend returns a waypoint's own -0.0 before
+# the first row, on a row's time stamp and past the last one, where
+# 0.0 * x + -0.0 would not.
 signed = st.one_of(st.sampled_from([0.0, -0.0]), coord)
 # Runs of 8 or more segments, where numpy's pairwise sum stops being
 # a plain left-to-right sum, as well as short ones.
@@ -212,7 +213,7 @@ def robot(draw, start=None):
     xy = np.array(draw(points), dtype=float)
     if draw(st.booleans()):
         xy = xy[:1].repeat(len(xy), axis=0)  # parked on one point
-    t0 = draw(st.sampled_from([0.0, 0.25])) if start is None else start
+    t0 = draw(st.sampled_from([0.0, 0.25, 0.75])) if start is None else start
     ts = t0 + np.cumsum([0.0] + draw(st.lists(steps, min_size=len(xy) - 1,
                                               max_size=len(xy) - 1)))
     return xy, ts
@@ -220,8 +221,14 @@ def robot(draw, start=None):
 
 @st.composite
 def trajectories(draw):
-    """A ragged trajectory of 1-6 robots and its per-robot rows."""
-    rows = draw(st.lists(robot(), min_size=1, max_size=6))
+    """A ragged trajectory of 1-6 robots and its per-robot rows; some
+    start late, some jump at their first row."""
+    rows = []
+    for xy, ts in draw(st.lists(robot(), min_size=1, max_size=6)):
+        if draw(st.booleans()):
+            xy = np.vstack([np.array(draw(st.tuples(signed, signed))), xy])
+            ts = np.concatenate([ts[:1], ts])
+        rows.append((xy, ts))
     t_end = max(1.0, max(float(t[-1]) for _, t in rows))
     return SwarmTrajectory.from_paths(rows, 0.0, t_end), rows
 
@@ -265,7 +272,7 @@ class TestAgainstPerRobotOracle:
             assert got.shape == (len(ts), traj.robot_count, 2)
             assert oracle.same_bits(got, want)
         for t in ts:
-            want = np.array([oracle.position_at(xy, times, t) for xy, times in rows])
+            want = np.array([oracle.blend(xy, times, t) for xy, times in rows])
             assert oracle.same_bits(traj.positions_at(t), want)
 
     @given(data=st.data())
@@ -368,6 +375,52 @@ class TestAgainstPerRobotOracle:
         for (xy, times), (w_xy, w_times) in zip(oracle.paths(joined), want):
             assert oracle.same_bits(xy, w_xy) and oracle.same_bits(times, w_times)
         assert (joined.t_start, joined.t_end) == (0.0, split + 1.0)
+
+
+class TestOneFormula:
+    """``positions_at``, ``positions_over`` and ``positions_of`` are one formula."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_positions_at_is_the_right_limit(self, data):
+        # From the left, test_positions_of_at_any_time covers the pair.
+        traj, _ = data.draw(trajectories())
+        n = traj.robot_count
+        ts = np.concatenate([data.draw(queries(traj)), traj.times, [0.0, -0.0]])
+        for t in ts:
+            at = traj.positions_at(t)
+            assert oracle.same_bits(at, traj.positions_over([t])[0])
+            assert oracle.same_bits(at, traj.positions_of(np.arange(n), t))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_close_to_np_interp(self, data):
+        """An independent check: ``np.interp``'s slope form, from the
+        right, within ``32 eps M`` per coordinate, ``M`` the robot's
+        largest coordinate (the blend is within ``8 eps M`` of the exact
+        point, the slope form within about ``11 eps M``)."""
+        traj, rows = data.draw(trajectories())
+        ts = data.draw(queries(traj))
+        got = traj.positions_over(ts)
+        for i, (xy, times) in enumerate(rows):
+            want = np.column_stack([np.interp(ts, times, xy[:, c]) for c in (0, 1)])
+            tol = 32 * np.finfo(float).eps * np.abs(xy).max()
+            assert np.all(np.abs(got[:, i] - want) <= tol)
+
+    # A robot that jumps from (0, 0) to (0, 1) at t = 0, then flies back.
+    JUMP_AT_START = ([0, 3], [0.0, 0.0, 0.5], [[0, 0], [0, 1], [0, 0]], 0.0, 0.5)
+
+    def test_jump_at_first_row_is_right_continuous(self):
+        traj = SwarmTrajectory(*self.JUMP_AT_START)
+        assert traj.positions_at(0.0).tolist() == [[0.0, 1.0]]
+        assert traj.positions_over([0.0]).tolist() == [[[0.0, 1.0]]]
+        assert traj.positions_over([0.0], side="left").tolist() == [[[0.0, 0.0]]]
+
+    def test_distance_flown_after_a_jump_at_the_start(self):
+        # Measured from the post-jump point: 1.0 (the pre-jump one gives 0.0).
+        traj = SwarmTrajectory(*self.JUMP_AT_START)
+        assert traj.distances_between(0.0, 0.5).tolist() == [1.0]
+        assert traj.distances_between(0.0, np.array([0.25])).tolist() == [0.5]
 
 
 def test_one_trajectory_layout():

@@ -331,7 +331,7 @@ class TestVectorizedTrajectorySampling:
         traj = mixed_trajectory
         for t in [-1.0, 0.0, 3.3, 4.0, 10.0, 12.0]:
             want = np.array(
-                [oracle.position_at(xy, times, t) for xy, times in oracle.paths(traj)]
+                [oracle.blend(xy, times, t) for xy, times in oracle.paths(traj)]
             )
             assert np.array_equal(traj.positions_at(t), want)
 
@@ -632,6 +632,22 @@ def test_one_spatial_query_layer():
         **{pattern: [] for pattern in patterns},
         r"cKDTree": ["geometry/vec.py"],
     }
+
+
+def test_one_motion_formula():
+    """Positions come from one formula, ``SwarmTrajectory._blend``: the
+    ``np.interp`` slope form and its per-segment slopes stay out of
+    ``src/repro``."""
+    sources = {
+        str(path.relative_to(SRC / "repro")): path.read_text()
+        for path in (SRC / "repro").rglob("*.py")
+    }
+    patterns = [r"_slopes", r"_slide", r"np\.interp", r"\b_position_at\b"]
+    found = {
+        pattern: sorted(name for name, text in sources.items() if re.search(pattern, text))
+        for pattern in patterns
+    }
+    assert found == {pattern: [] for pattern in patterns}
 
 
 def test_one_mesh_topology_path():

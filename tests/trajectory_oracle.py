@@ -2,7 +2,9 @@
 
 Each function applies one rule to a single robot's ``(xy, times)``
 rows with scalar or per-robot numpy calls.  The trajectory's vectorised
-queries must equal these bitwise.
+queries must equal these bitwise.  Positions follow :func:`blend`, the
+one position rule; ``np.interp`` stays out of it and is compared in
+the tests only to within a stated rounding tolerance.
 """
 
 import numpy as np
@@ -23,44 +25,30 @@ def paths(traj):
     return [traj.path(i) for i in range(traj.robot_count)]
 
 
+def blend(xy, times, t, side="right"):
+    """One position: Eqn. 2's blend on the segment at the last row ``j``
+    with time ``<= t`` (right) or ``< t`` (left), per coordinate.
+
+    The row itself, bits and all, before the first row, at or past the
+    last and, from the right, on a row's own time.
+    """
+    j = int(np.searchsorted(times, t, side=side)) - 1
+    if j < 0:
+        return xy[0].copy()
+    if j == len(times) - 1 or (side == "right" and times[j] == t):
+        return xy[j].copy()
+    a = (t - times[j]) / (times[j + 1] - times[j])
+    return a * xy[j + 1] + (1.0 - a) * xy[j]
+
+
 def right(xy, times, ts):
-    """Right-sided positions: ``np.interp`` per coordinate."""
-    ts = np.asarray(ts, dtype=float)
-    if len(xy) == 1:
-        return np.tile(xy[0], (len(ts), 1))
-    return np.column_stack(
-        [np.interp(ts, times, xy[:, 0]), np.interp(ts, times, xy[:, 1])]
-    )
+    """Right-sided positions at every one of ``ts``."""
+    return np.array([blend(xy, times, t) for t in ts]).reshape(-1, 2)
 
 
 def left(xy, times, ts):
-    """Left-sided positions: the clipped-alpha blend over ``times[j] < t <= times[j+1]``."""
-    ts = np.asarray(ts, dtype=float)
-    if len(xy) == 1:
-        return np.tile(xy[0], (len(ts), 1))
-    j = np.searchsorted(times, ts, side="left") - 1
-    j = np.clip(j, 0, len(times) - 2)
-    t0 = times[j]
-    dt = times[j + 1] - t0
-    safe = np.where(dt > 0, dt, 1.0)
-    alpha = np.where(dt > 0, (ts - t0) / safe, (ts > t0).astype(float))
-    alpha = np.clip(alpha, 0.0, 1.0)[:, None]
-    return (1.0 - alpha) * xy[j] + alpha * xy[j + 1]
-
-
-def position_at(xy, times, t):
-    """One position: the blend over ``times[i] <= t < times[i+1]``, clamped to the ends."""
-    if t <= times[0] or len(times) == 1:
-        return xy[0].copy()
-    if t >= times[-1]:
-        return xy[-1].copy()
-    i = int(np.searchsorted(times, t, side="right")) - 1
-    i = min(i, len(times) - 2)
-    dt = times[i + 1] - times[i]
-    if dt <= 0:
-        return xy[i + 1].copy()
-    alpha = (t - times[i]) / dt
-    return (1.0 - alpha) * xy[i] + alpha * xy[i + 1]
+    """Left-sided positions at every one of ``ts``."""
+    return np.array([blend(xy, times, t, "left") for t in ts]).reshape(-1, 2)
 
 
 def length_between(xy, times, t0, t1):
@@ -70,9 +58,9 @@ def length_between(xy, times, t0, t1):
     inside = (times > t0) & (times < t1)
     pts = np.vstack(
         [
-            position_at(xy, times, t0)[None, :],
+            right(xy, times, [t0]),
             xy[inside],
-            position_at(xy, times, t1)[None, :],
+            right(xy, times, [t1]),
         ]
     )
     return polyline_length(pts)
