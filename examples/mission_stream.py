@@ -1,9 +1,10 @@
 """Streaming missions: follow a replanning job's live SSE event feed.
 
-Boots a two-shard `repro.service.PlanningService`, submits a drifting
-mission (`POST /v1/mission`), and follows its progress over the
-`GET /v1/jobs/{id}/events` stream: one `plan_diff` + `epoch` pair per
-replanned leg, in order, as the mission advances.  Then checks two of
+Boots a `repro.service.PlanningService` (one job queue, two
+dispatchers), submits a drifting mission (`POST /v1/mission`), and
+follows its progress over the `GET /v1/jobs/{id}/events` stream: one
+`plan_diff` + `epoch` pair per replanned leg, in order, as the mission
+advances.  Then checks two of
 the mission contracts:
 
 * the mission document fetched over HTTP is byte-identical to running
@@ -49,7 +50,7 @@ def show(event: dict) -> None:
 
 
 def main() -> None:
-    with PlanningService(port=0, service_workers=2, dispatchers=2) as service:
+    with PlanningService(port=0, dispatchers=2) as service:
         client = ServiceClient(port=service.port, timeout=120.0, retries=3)
         print(
             f"service on port {service.port}: streaming a "

@@ -17,8 +17,9 @@ CI runs each name in :data:`SMOKES` as one entry of its ``smoke`` job:
   10 000-robot zoo ``rough/0`` plan the certified
   ``connectivity_report`` equals the uncertified sampler's, field for
   field (both wall-clocks printed, no time bound);
-* ``load`` - two seeded 200-client bursts against fresh 2-shard
-  servers: exact dedup, zero 5xx, p99 budgets, identical summaries;
+* ``load`` - two seeded 200-client bursts against two fresh servers,
+  each one job queue with 2 dispatchers: exact dedup, zero 5xx, p99
+  budgets, identical summaries;
 * ``crash`` - SIGKILL at mission epochs 1 and 2 and a SIGTERM drain lose
   no acknowledged job and resume the mission byte-identically.
 """
@@ -295,8 +296,7 @@ def smoke_load(tmp: Path) -> None:
     p99_budget_ms = {"plan": 5_000.0, "result": 5_000.0, "job": 180_000.0}
     payloads = []
     for burst in (1, 2):
-        fleet = CrashRecConfig(service_workers=2, dispatchers=2)
-        with served(fleet) as server:
+        with served(CrashRecConfig(dispatchers=2)) as server:
             summary = run_loadgen(config, port=server.port)
         print(f"--- burst {burst}/2 ---")
         print(render_loadgen(summary))
@@ -313,9 +313,9 @@ def smoke_load(tmp: Path) -> None:
         assert loadgen_passed(summary)
         payloads.append(summary_bytes(summary))
     assert payloads[0] == payloads[1], (
-        "canonical summary differs across fresh fleets for the same seed"
+        "canonical summary differs across fresh servers for the same seed"
     )
-    print("canonical summary byte-identical across fresh fleets: OK")
+    print("canonical summary byte-identical across fresh servers: OK")
 
 
 def smoke_mission(tmp: Path) -> None:

@@ -10,7 +10,7 @@ Usage (after ``pip install -e .`` / ``python setup.py develop``)::
     python -m repro plan 3 --trace out.jsonl
     python -m repro chaos --seeds 0 1 --output chaos.json
     python -m repro mission --families corridor --epochs 3
-    python -m repro serve --port 8642 --workers 2 --service-workers 2
+    python -m repro serve --port 8642 --workers 2
     python -m repro submit 1 --separation 12 --output plan.json
     python -m repro loadgen --clients 200 --seed 0
 
@@ -135,9 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="clients for the --load burst (default: 200)")
     p_report.add_argument("--load-seed", type=int, default=0,
                           help="schedule seed for --load (default: 0)")
-    p_report.add_argument("--load-service-workers", type=int, default=2,
-                          metavar="N",
-                          help="fleet shards for --load (default: 2)")
 
     p_pipe = sub.add_parser(
         "pipeline", help="run the Fig. 2 pipeline and write its six panels",
@@ -257,13 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8642,
                          help="bind port (0 picks an ephemeral port)")
     p_serve.add_argument("--capacity", type=int, default=64,
-                         help="maximum queued jobs before 429 backpressure "
-                              "(split evenly across --service-workers)")
+                         help="maximum queued jobs before 429 backpressure")
     p_serve.add_argument("--service-workers", type=int, default=1,
                          metavar="N",
-                         help="shard workers: the job queue is sharded by "
-                              "consistent hash of the content address, each "
-                              "shard with its own dispatcher pool (default: 1)")
+                         help="deprecated: multiplies the --workers "
+                              "dispatcher count of the one job queue "
+                              "(default: 1); kept only for the benchmark's "
+                              "command line, and removed with the next "
+                              "benchmark change (ROADMAP.md item 6)")
     p_serve.add_argument("--job-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="per-job wall-clock budget (default: none)")
@@ -313,11 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_loadgen.add_argument("--host", default="127.0.0.1")
     p_loadgen.add_argument("--port", type=int, default=None,
                            help="attach to a running service; omit to boot "
-                                "a fresh in-process fleet instead")
-    p_loadgen.add_argument("--service-workers", type=int, default=2,
-                           metavar="N",
-                           help="fleet shards for the self-contained mode "
-                                "(ignored with --port; default: 2)")
+                                "a fresh in-process service instead")
     p_loadgen.add_argument("--no-journal", action="store_true",
                            help="skip the journal + restart-recovery probe "
                                 "in the self-contained mode (ignored with "
@@ -485,7 +479,6 @@ def _cmd_report(args) -> int:
         load=args.load,
         load_clients=args.load_clients,
         load_seed=args.load_seed,
-        load_service_workers=args.load_service_workers,
     )
     print(f"wrote {path}")
     return 0
@@ -715,8 +708,7 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         capacity=args.capacity,
-        dispatchers=max(1, resolve_workers(args.workers)),
-        service_workers=max(1, args.service_workers),
+        dispatchers=max(1, resolve_workers(args.workers) * args.service_workers),
         job_timeout_s=args.job_timeout,
         retries=args.retries,
         ttl_s=args.ttl,
@@ -785,11 +777,7 @@ def _cmd_loadgen(args) -> int:
     if args.port is not None:
         summary = run_loadgen(config, port=args.port, host=args.host)
     else:
-        summary = run_loadgen_fleet(
-            config,
-            service_workers=max(1, args.service_workers),
-            journal=not args.no_journal,
-        )
+        summary = run_loadgen_fleet(config, journal=not args.no_journal)
     return _emit(
         render_loadgen(summary),
         summary_bytes(summary),

@@ -75,7 +75,6 @@ class CrashRecConfig:
     grid_target: int = 300
     lloyd_max_iterations: int = 8
     resolution: int = 4
-    service_workers: int = 1
     dispatchers: int = 2
     timeout_s: float = 180.0
 
@@ -98,7 +97,6 @@ class CrashRecConfig:
             "grid_target": self.grid_target,
             "lloyd_max_iterations": self.lloyd_max_iterations,
             "resolution": self.resolution,
-            "service_workers": self.service_workers,
         }
 
     def mission_spec(self) -> dict[str, Any]:
@@ -142,7 +140,7 @@ def boot_server(
 ) -> subprocess.Popen:
     """Start ``repro serve`` on an ephemeral port and wait for its banner.
 
-    ``config`` supplies the shard and dispatcher counts; with a
+    ``config`` supplies the dispatcher count; with a
     ``journal_dir`` the server runs on that write-ahead journal
     (``--journal-dir``), without one it keeps no journal.  Returns the
     process with ``.port`` (the bound ephemeral port) and
@@ -156,7 +154,6 @@ def boot_server(
             sys.executable, "-m", "repro", "serve",
             "--port", "0",
             "--workers", str(config.dispatchers),
-            "--service-workers", str(config.service_workers),
             *journal,
         ],
         stdout=subprocess.PIPE,

@@ -11,21 +11,21 @@ document, whether the service kept its promises under fire:
 * **Retry-After correctness** - every 429 carries a positive,
   numeric drain estimate;
 * **dedup exactness** - the schedule contains a known number of
-  unique content addresses, so the fleet must report *exactly*
+  unique content addresses, so the service must report *exactly*
   ``clients - uniques`` deduplicated admissions and solve each unique
-  once, no matter how many shards raced;
+  once, no matter how the clients raced;
 * **result byte-identity** - every client that asked for the same
   request must download byte-identical plan documents.
 
 The schedule is a pure function of :class:`LoadgenConfig`: unique
 requests are drawn per zoo family with per-index seeded RNGs, arrival
 times follow seeded exponential inter-arrivals, and duplicate slots
-are assigned by a seeded shuffle - so two runs (or two fleets with
-different ``service_workers``) replay byte-for-byte the same traffic.
+are assigned by a seeded shuffle - so two runs (or two services with
+different dispatcher counts) replay byte-for-byte the same traffic.
 The summary separates a **canonical** section (schedule-derived counts
 and correctness booleans; byte-identical across runs and worker
 counts via :func:`summary_bytes`) from a **timing** section
-(p50/p95/p99 per endpoint, 429/retry counts, per-shard attribution)
+(p50/p95/p99 per endpoint, 429/retry counts)
 that is honest about being nondeterministic.
 
 Socket concurrency is bounded by ``max_inflight`` worker threads so a
@@ -75,8 +75,8 @@ _FAMILY_SEPARATION = {
 class LoadgenConfig:
     """Everything that determines the replayed traffic, and only that.
 
-    ``service_workers`` is deliberately *not* here: the same config
-    must produce the same canonical summary against any fleet size.
+    The service's dispatcher count is deliberately *not* here: the same
+    config must produce the same canonical summary against any service.
     """
 
     clients: int = 200
@@ -353,18 +353,6 @@ def run_loadgen(
         "result": _latency_stats([o.result_latency_s for o in completed]),
         "job": _latency_stats([o.total_latency_s for o in completed]),
     }
-    try:
-        final_metrics = ServiceClient(
-            host, port, timeout=config.timeout_s
-        ).metrics()
-    except ServiceError:
-        final_metrics = {}
-    per_shard = {
-        name: value
-        for name, value in final_metrics.items()
-        if ".shard." in name
-    }
-
     summary = {
         "format_version": 1,
         "config": config.to_dict(),
@@ -393,7 +381,6 @@ def run_loadgen(
                 max((o.schedule_lag_s for o in outcomes), default=0.0), 3
             ),
             "endpoints": per_endpoint,
-            "per_shard": per_shard,
             "errors": sorted(
                 {o.error for o in outcomes if o.error is not None}
             )[:10],
@@ -404,23 +391,22 @@ def run_loadgen(
 
 def run_loadgen_fleet(
     config: LoadgenConfig,
-    service_workers: int = 2,
-    dispatchers: int = 2,
+    dispatchers: int = 4,
     capacity: int = 64,
     runner: Any = None,
     drain_probe: bool = True,
     journal: bool = True,
 ) -> dict[str, Any]:
-    """Boot a fresh in-process fleet, load it, drain it, report.
+    """Boot a fresh in-process service, load it, drain it, report.
 
     The self-contained flavour used by ``python -m repro loadgen``
     (without ``--port``), tests and the CI smoke: guarantees the target
     is cold, and appends a ``drain`` section verifying that shutdown
     mid-traffic is graceful (healthz flips to 503, every accepted job
-    still completes, the fleet stops cleanly).
+    still completes, the service stops cleanly).
 
-    With ``journal`` (the default) the fleet runs on a temporary job
-    journal and, after the drained shutdown, a second fleet is booted
+    With ``journal`` (the default) the service runs on a temporary job
+    journal and, after the drained shutdown, a second service is booted
     on the same journal directory - the summary's ``recovery`` section
     reports how many jobs the restart restored and how long the replay
     took.  Per-append fsync is off here (this measures replay, not
@@ -441,7 +427,6 @@ def run_loadgen_fleet(
             port=0,
             capacity=capacity,
             dispatchers=dispatchers,
-            service_workers=service_workers,
             runner=runner,
             journal_dir=journal_dir,
             journal_fsync=False,
@@ -470,7 +455,6 @@ def run_loadgen_fleet(
                 port=0,
                 capacity=capacity,
                 dispatchers=dispatchers,
-                service_workers=service_workers,
                 runner=runner,
                 journal_dir=journal_dir,
                 journal_fsync=False,
@@ -479,7 +463,6 @@ def run_loadgen_fleet(
                 recovery = dict(restarted.recovery)
     summary["drain"] = drain
     summary["recovery"] = recovery
-    summary["service_workers"] = service_workers
     return summary
 
 
@@ -487,8 +470,8 @@ def summary_bytes(summary: dict[str, Any]) -> bytes:
     """Canonical bytes of the *deterministic* part of a summary.
 
     Only ``format_version``, ``config`` and ``canonical`` participate:
-    those are byte-identical across repeated runs and across fleets
-    with different ``service_workers``; timing and drain sections are
+    those are byte-identical across repeated runs and across services
+    with different dispatcher counts; timing and drain sections are
     measurements and stay out.
     """
     return dumps_canonical({
@@ -519,7 +502,7 @@ def _checks(summary: dict[str, Any]) -> list[tuple[str, bool]]:
         ))
     recovery = summary.get("recovery") or {}
     if recovery:
-        # A drained fleet's journal restores every unique job terminal
+        # A drained service's journal restores every unique job terminal
         # - a requeue here means a completed job's durability was lost.
         checks.append((
             "restart recovery clean",

@@ -44,7 +44,6 @@ def build_report(
     load: bool = False,
     load_clients: int = 200,
     load_seed: int = 0,
-    load_service_workers: int = 2,
     **run_kwargs,
 ) -> str:
     """Run the scenarios and return the markdown report text.
@@ -67,7 +66,7 @@ def build_report(
       deform across epochs, with the campaign's canonical digest
       (:func:`repro.experiments.missions.render_missions`);
     * ``load=True`` - a seeded ``load_clients``-strong burst against a
-      fresh ``load_service_workers``-shard in-process fleet, with
+      fresh in-process service, with
       latency percentiles and the correctness checklist
       (:func:`repro.experiments.loadgen.render_loadgen`).
     """
@@ -190,14 +189,12 @@ def build_report(
         )
 
         load_summary = run_loadgen_fleet(
-            LoadgenConfig(clients=load_clients, seed=load_seed),
-            service_workers=load_service_workers,
+            LoadgenConfig(clients=load_clients, seed=load_seed)
         )
         parts.extend(_section(
             "Load testing",
-            f"Seeded open-loop burst against a fresh "
-            f"{load_summary['service_workers']}-shard fleet, then a "
-            "restart on the same journal: latency percentiles and the "
+            "Seeded open-loop burst against a fresh in-process service, "
+            "then a restart on the same journal: latency percentiles and the "
             "correctness checklist.",
             render_loadgen(load_summary),
         ))

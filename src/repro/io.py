@@ -341,7 +341,7 @@ def mission_document(
 
     Every field is deterministic (no wall-clock content), so the
     document is byte-stable under :func:`dumps_canonical` across
-    processes, worker counts, and service shards - the property the
+    processes, worker counts, and the service - the property the
     mission byte-identity contract rests on.
     """
     return {

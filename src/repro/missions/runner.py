@@ -17,10 +17,9 @@ them.
 Determinism contract: :meth:`MissionRunner.run` scopes a *private*
 cache and metrics registry, so the produced mission document is a pure
 function of ``(spec, config, faults)`` - byte-identical whether the
-mission runs in-process, in a service worker, or behind a sharded
-fleet.  Wall-clock measurements (replan latency) are therefore *not*
-part of the document; they are emitted through the ``progress``
-callback only.  Every epoch ends in a metrics record or a typed
+mission runs in-process or as a service job.  Wall-clock measurements
+(replan latency) are therefore *not* part of the document; they are
+emitted through the ``progress`` callback only.  Every epoch ends in a metrics record or a typed
 :class:`~repro.errors.MissionError` - never a silently degraded plan.
 """
 

@@ -277,7 +277,10 @@ class SwarmTrajectory:
         ``t1`` is one instant or a per-robot ``(n,)`` array.  Exact for
         the piecewise-linear motion model: each robot's polyline through
         its position at ``t0``, every waypoint strictly inside the
-        window and its position at ``t1``; zero when ``t1 <= t0``.
+        window and its left limit at ``t1``; zero when ``t1 <= t0``.
+        A jump at ``t0`` is behind the robot and one at ``t1`` still
+        ahead of it, so neither counts; a left limit at a row's own
+        time is that row's bits (``a = 1``).
         """
         n = self.robot_count
         t1 = np.broadcast_to(np.asarray(t1, dtype=float), (n,))
@@ -288,7 +291,7 @@ class SwarmTrajectory:
         offsets = np.concatenate([[0], np.cumsum(count + 2)])
         pts = np.empty((offsets[-1], 2))
         pts[offsets[:-1]] = self.positions_at(t0)
-        pts[offsets[1:] - 1] = self.positions_of(np.arange(n), t1)
+        pts[offsets[1:] - 1] = self.positions_of(np.arange(n), t1, side="left")
         # Robot i's inside rows, in order, right after its t0 point.
         earlier = np.cumsum(count) - count
         pts[offsets[ri] + 1 + np.arange(len(ri)) - earlier[ri]] = self.xy[inside]
@@ -348,10 +351,14 @@ class SwarmTrajectory:
         _check_side(side)
         robots = np.asarray(robots, dtype=np.int64)
         t = np.asarray(times, dtype=float)
+        shape = np.broadcast_shapes(robots.shape, t.shape) + (2,)
+        # _blend clamps j in place, so scalar queries run as 1-element ones.
+        robots, t = np.atleast_1d(robots, t)
         # Rows ranked below this bound are at or before t (right) or before it.
         bound = np.searchsorted(self.instants, t, side=side)
         j = np.searchsorted(self._instant_keys, robots * len(self.instants) + bound) - 1
-        return self._blend(t, j, self.offsets[robots], self.offsets[robots + 1] - 1, side)
+        out = self._blend(t, j, self.offsets[robots], self.offsets[robots + 1] - 1, side)
+        return out.reshape(shape)
 
     def then(self, other: "SwarmTrajectory") -> "SwarmTrajectory":
         """Concatenate two trajectories robot-by-robot.

@@ -10,8 +10,6 @@ and :mod:`repro.obs` for per-request span trees and live metrics:
 * :class:`ExecutorBridge` - dispatcher threads that run each job
   attempt on its own thread (per-attempt timeout, bounded retries,
   spans nested under the job's on the server's tracer).
-* :class:`ShardRouter` - consistent-hash routing of content addresses
-  onto shard workers, so a fleet deduplicates exactly like one queue.
 * :class:`JobJournal` - the write-ahead journal (fsynced, versioned,
   segment-rotated) that makes the queue's state transitions durable;
   on startup the service replays it, re-enqueues non-terminal jobs
@@ -23,8 +21,8 @@ and :mod:`repro.obs` for per-request span trees and live metrics:
   (``POST /v1/plan``, ``POST /v1/mission`` streaming mission jobs, job
   polling, SSE progress streaming at ``GET /v1/jobs/{id}/events`` with
   ``?since=`` resume cursors, ``/healthz``, ``/metrics``, ``/tracez``)
-  over ``service_workers`` shard workers, with 429-with-``Retry-After``
-  backpressure and graceful draining.
+  over one job queue and its dispatcher pool, with
+  429-with-``Retry-After`` backpressure and graceful draining.
 * :class:`ServiceClient` - the blocking stdlib client used by tests,
   examples, the load generator and ``repro submit``; its
   ``run_mission``/``iter_events`` follow mission event streams and
@@ -57,12 +55,10 @@ from repro.service.jobs import (
 from repro.service.journal import JobJournal, JournalReplay, replay_records
 from repro.service.server import (
     PlanningService,
-    ShardWorker,
     default_runner,
     run_mission_request,
     run_plan_request,
 )
-from repro.service.sharding import ShardRouter
 
 __all__ = [
     "JOB_STATES",
@@ -76,8 +72,6 @@ __all__ = [
     "QueueClosed",
     "QueueFull",
     "ServiceClient",
-    "ShardRouter",
-    "ShardWorker",
     "default_runner",
     "job_id_for",
     "normalize_mission_request",

@@ -154,23 +154,10 @@ class ExecutorBridge:
 
     def _run_job(self, job: Job) -> None:
         metrics = self.metrics
-        shard = self.queue.shard
         queue_wait = (job.started_at or 0.0) - job.submitted_at
         metrics.histogram("service.queue_wait_s").observe(queue_wait)
         metrics.gauge("service.queue.depth").set(self.queue.depth())
-        if shard is not None:
-            # Per-shard claim latency: how long this job sat queued on
-            # *this* shard before a dispatcher claimed it.  The loadgen
-            # report reads these to attribute tail latency to a shard.
-            metrics.histogram(
-                f"service.shard.{shard}.claim_latency_s"
-            ).observe(queue_wait)
-            metrics.gauge(f"service.shard.{shard}.queue.depth").set(
-                self.queue.depth()
-            )
-        self.queue.publish(
-            job.job_id, "claimed", queue_wait_s=queue_wait, shard=shard
-        )
+        self.queue.publish(job.job_id, "claimed", queue_wait_s=queue_wait)
         with span(
             "service.job", job_id=job.job_id, priority=job.priority
         ) as job_span:

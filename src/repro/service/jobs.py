@@ -249,9 +249,8 @@ def normalize_mission_request(doc: Any) -> tuple[dict[str, Any], int]:
 def job_id_for(request: dict[str, Any]) -> str:
     """The content address of a normalised request (the job id).
 
-    Exposed so the HTTP frontend can route a submission to its shard
-    *before* admission - :meth:`JobQueue.submit` derives the same id
-    internally, so routing and dedup always agree.
+    :meth:`JobQueue.submit` derives the same id internally; the
+    service's mission runner names a job's checkpoint directory by it.
     """
     return stable_hash(request)
 
@@ -330,11 +329,6 @@ class JobQueue:
         :meth:`evict_expired` may drop them.
     clock : callable
         Monotonic time source (injectable for tests).
-    shard : int, optional
-        The fleet shard index this queue belongs to (None for the
-        single-queue service).  Purely identity: the executor bridge
-        and the ``/metrics`` endpoint use it to label per-shard depth
-        and claim-latency instruments.
     journal : JobJournal, optional
         Write-ahead journal.  When set, every state transition and
         progress event is durably appended (under the queue lock, so
@@ -348,7 +342,6 @@ class JobQueue:
         capacity: int = 64,
         ttl_s: float = 3600.0,
         clock: Callable[[], float] = time.monotonic,
-        shard: int | None = None,
         journal: "JobJournal | None" = None,
     ) -> None:
         if capacity < 1:
@@ -357,7 +350,6 @@ class JobQueue:
             raise ServiceError("job TTL must be positive")
         self.capacity = capacity
         self.ttl_s = ttl_s
-        self.shard = shard
         self.journal = journal
         self._clock = clock
         self._jobs: dict[str, Job] = {}

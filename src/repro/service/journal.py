@@ -18,8 +18,8 @@ job back to ``queued`` - the content-address dedup of
 what turns this journal's at-least-once replay into exactly-once
 *results*.
 
-The journal is shared by all shard queues of one
-:class:`~repro.service.PlanningService` process; appends are serialised
+One :class:`~repro.service.PlanningService` process writes the
+journal of its job queue; appends are serialised
 under an internal lock, and a pid lock file refuses to open a journal
 directory that another live process is writing.
 """

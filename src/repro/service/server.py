@@ -13,12 +13,12 @@ Endpoints
     Submit a plan or mission request (see
     :func:`~repro.service.jobs.normalize_plan_request` and
     :func:`~repro.service.jobs.normalize_mission_request` for the body
-    schemas).  ``202`` with ``{"job_id", "state", "deduplicated",
-    "shard"}``; ``429`` + ``Retry-After`` when the owning shard's
-    queue is full (the estimate comes from the observed
+    schemas).  ``202`` with ``{"job_id", "state", "deduplicated"}``;
+    ``429`` + ``Retry-After`` when the queue is full (the estimate
+    comes from the observed
     ``service.job_duration_s`` histogram); ``503`` while draining.
 ``GET /v1/jobs`` / ``GET /v1/jobs/{id}``
-    Job listing (all shards merged) / one job's status document.
+    Job listing / one job's status document.
 ``GET /v1/jobs/{id}/result``
     ``200`` with the canonical-JSON plan document once ``done``;
     ``202`` while queued/running, ``404`` unknown, ``410`` cancelled
@@ -26,7 +26,7 @@ Endpoints
     eviction time), ``500`` with the failure reason when ``failed``.
 ``GET /v1/jobs/{id}/events`` (alias ``GET /v1/plan/{id}/events``)
     Server-sent-events stream of the job's progress: ``queued``,
-    ``claimed`` (with the measured queue wait and owning shard),
+    ``claimed`` (with the measured queue wait),
     ``phase`` timings for solve/serialize, a mission's live ``epoch``,
     ``plan_diff`` and ``recovery`` events, the terminal state, and a
     final ``end`` frame.  Poll-free alternative to
@@ -36,12 +36,10 @@ Endpoints
     Cancel a queued job (``409`` once running or terminal).
 ``GET /healthz``
     ``200 {"status": "ok", ...}`` in normal operation, ``503``
-    ``{"status": "draining"}`` during shutdown; includes per-shard
-    queue depths and the live event-stream count.
+    ``{"status": "draining"}`` during shutdown; includes the queue
+    depth and the live event-stream count.
 ``GET /metrics``
-    Snapshot of the service's :class:`repro.obs.Metrics` registry,
-    including per-shard ``service.shard.{i}.queue.depth`` gauges and
-    ``service.shard.{i}.claim_latency_s`` histograms.
+    Snapshot of the service's :class:`repro.obs.Metrics` registry.
 ``GET /tracez``
     The most recent spans of the service's tracer.
 
@@ -50,16 +48,12 @@ only ever does bookkeeping (parse, admit, look up, serialise a status
 doc, relay progress events) - solves happen on
 :class:`~repro.service.executor_bridge.ExecutorBridge` dispatcher
 threads, each job attempt on its own thread under the per-job timeout,
-so a slow plan never blocks health checks or admissions.  With ``service_workers > 1`` the
-queue itself is sharded: each shard worker owns a private
-:class:`~repro.service.jobs.JobQueue` plus its own dispatcher pool,
-and submissions are routed by consistent hash of the content address
-(:class:`~repro.service.sharding.ShardRouter`), so identical requests
-still collapse onto one job on one shard while distinct requests
-spread across the fleet.  All shards share one content cache (and,
-when configured, the same atomic sharded
-:class:`~repro.exec.DiskStore`), so a solve on any shard warms every
-other.  The HTTP layer is a hand-rolled HTTP/1.1 subset (one request
+so a slow plan never blocks health checks or admissions.  One
+:class:`~repro.service.jobs.JobQueue` holds every job, keyed by the
+request's content address, so identical requests collapse onto one
+job, and every job shares one content cache (and, when configured, one
+:class:`~repro.exec.DiskStore`).  The HTTP layer is a hand-rolled
+HTTP/1.1 subset (one request
 per connection, ``Connection: close``): no new dependencies, and the
 stdlib ``http.client`` in :mod:`repro.service.client` speaks it
 happily.
@@ -79,11 +73,10 @@ from typing import Any, Callable
 
 from repro.errors import MissionInterrupted, ServiceError
 from repro.exec import ContentCache, activate_cache
-from repro.io import FORMAT_VERSION, dumps_canonical, plan_document
+from repro.io import FORMAT_VERSION, plan_document
 from repro.obs import Metrics, Tracer, activate, activate_metrics, span
 
 from repro.service.jobs import (
-    Job,
     JobQueue,
     QueueClosed,
     QueueFull,
@@ -93,11 +86,9 @@ from repro.service.jobs import (
 )
 from repro.service.executor_bridge import ExecutorBridge
 from repro.service.journal import JobJournal, JournalReplay
-from repro.service.sharding import ShardRouter
 
 __all__ = [
     "PlanningService",
-    "ShardWorker",
     "default_runner",
     "run_mission_request",
     "run_plan_request",
@@ -162,7 +153,7 @@ def run_mission_request(
 
     The mission runner scopes a *private* cache and metrics registry
     internally (its document must be byte-identical across worker
-    counts and shards), so unlike :func:`run_plan_request` the service
+    counts), so unlike :func:`run_plan_request` the service
     cache is deliberately not bound in.  ``progress`` is the
     ``(kind, data)`` callback the executor bridge wires to the job's
     SSE event log; ``checkpoint_dir`` enables durable per-epoch
@@ -232,19 +223,8 @@ def default_runner(
     return run
 
 
-class ShardWorker:
-    """One fleet shard: a private job queue plus its dispatcher pool."""
-
-    __slots__ = ("index", "queue", "bridge")
-
-    def __init__(self, index: int, queue: JobQueue, bridge: ExecutorBridge) -> None:
-        self.index = index
-        self.queue = queue
-        self.bridge = bridge
-
-
 class PlanningService:
-    """Planning-as-a-service: HTTP frontend + sharded job store + bridges.
+    """Planning-as-a-service: HTTP frontend + job queue + executor bridge.
 
     Parameters
     ----------
@@ -252,15 +232,9 @@ class PlanningService:
         Bind address; ``port=0`` picks an ephemeral port (read it back
         from :attr:`port` after :meth:`start`).
     capacity : int
-        Total queued-job bound, split evenly across the shards;
-        admissions beyond a shard's share get ``429``.
+        Queued-job bound; admissions beyond it get ``429``.
     dispatchers : int
-        Concurrent jobs in flight *per shard* (executor-bridge threads).
-    service_workers : int
-        Number of shard workers.  1 (the default) reproduces the PR-3
-        single-queue service exactly; N > 1 shards the queue by
-        consistent hash of the content address while every shard shares
-        the one content cache / disk store.
+        Concurrent jobs in flight (executor-bridge threads).
     job_timeout_s, retries
         Per-attempt timeout and extra attempts of every job (see
         :class:`ExecutorBridge`).
@@ -292,7 +266,6 @@ class PlanningService:
         port: int = 0,
         capacity: int = 64,
         dispatchers: int = 2,
-        service_workers: int = 1,
         job_timeout_s: float | None = None,
         retries: int = 1,
         ttl_s: float = 3600.0,
@@ -304,8 +277,6 @@ class PlanningService:
         cache: ContentCache | None = None,
         tracez_limit: int = 256,
     ) -> None:
-        if service_workers < 1:
-            raise ServiceError("service_workers must be positive")
         self.host = host
         self.port = port
         self.tracer = tracer if tracer is not None else Tracer()
@@ -324,28 +295,16 @@ class PlanningService:
             self.runner = runner
         else:
             self.runner = default_runner(self.cache, checkpoint_root=checkpoint_root)
-        self._router = ShardRouter(service_workers)
-        shard_capacity = max(1, capacity // service_workers)
-        self.shards: list[ShardWorker] = []
-        for index in range(service_workers):
-            queue = JobQueue(
-                capacity=shard_capacity, ttl_s=ttl_s, shard=index,
-                journal=self.journal,
-            )
-            bridge = ExecutorBridge(
-                queue,
-                self.runner,
-                dispatchers=dispatchers,
-                job_timeout_s=job_timeout_s,
-                retries=retries,
-                tracer=self.tracer,
-                metrics=self.metrics,
-            )
-            self.shards.append(ShardWorker(index, queue, bridge))
-        # Single-shard aliases: the PR-3 API (and its tests) address the
-        # one queue/bridge directly; on a fleet they mean shard 0.
-        self.queue = self.shards[0].queue
-        self.bridge = self.shards[0].bridge
+        self.queue = JobQueue(capacity=capacity, ttl_s=ttl_s, journal=self.journal)
+        self.bridge = ExecutorBridge(
+            self.queue,
+            self.runner,
+            dispatchers=dispatchers,
+            job_timeout_s=job_timeout_s,
+            retries=retries,
+            tracer=self.tracer,
+            metrics=self.metrics,
+        )
         self.tracez_limit = tracez_limit
         #: event-stream tuning (tests shrink these to force edge paths)
         self.events_poll_s = 0.05
@@ -362,22 +321,10 @@ class PlanningService:
         self._stopped = threading.Event()
         self._boot_error: BaseException | None = None
 
-    @property
-    def service_workers(self) -> int:
-        return len(self.shards)
-
-    def _shard_for(self, job_id: str) -> ShardWorker:
-        return self.shards[self._router.shard_for(job_id)]
-
-    def _find_job(self, job_id: str) -> tuple[JobQueue, Job | None]:
-        """The owning shard's queue and the job (None when unknown)."""
-        queue = self._shard_for(job_id).queue
-        return queue, queue.get(job_id)
-
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "PlanningService":
-        """Bind, boot the event-loop thread and every shard's dispatchers.
+        """Bind, boot the event-loop thread and the dispatchers.
 
         With a journal, recovery runs first: the journal is replayed,
         every non-terminal job from the previous process is re-enqueued
@@ -389,16 +336,14 @@ class PlanningService:
         if self._thread is not None:
             return self
         self._recover()
-        for shard in self.shards:
-            shard.bridge.start()
+        self.bridge.start()
         self._thread = threading.Thread(
             target=self._loop_main, name="repro-service-http", daemon=True
         )
         self._thread.start()
         self._ready.wait(timeout=30.0)
         if self._boot_error is not None:
-            for shard in self.shards:
-                shard.bridge.stop(drain=False, timeout=5.0)
+            self.bridge.stop(drain=False, timeout=5.0)
             if self.journal is not None:
                 self.journal.close()
             raise ServiceError(
@@ -409,45 +354,22 @@ class PlanningService:
         return self
 
     def _recover(self) -> None:
-        """Replay the journal and restore jobs into the shard queues."""
+        """Replay the journal and restore its jobs into the queue."""
         if self.journal is None:
             return
         t0 = time.perf_counter()
         with activate_metrics(self.metrics):
             replay = self.journal.replay()
-            stats = {
-                "restored": 0, "requeued": 0, "retried": 0,
-                "completed": 0, "failed": 0, "cancelled": 0,
-            }
-            if replay.jobs or replay.evicted:
-                owners = self._router.partition(list(replay.jobs))
-                evicted_owners = self._router.partition(list(replay.evicted))
-                for shard in self.shards:
-                    states = [
-                        replay.jobs[job_id]
-                        for job_id in owners.get(shard.index, [])
-                    ]
-                    evicted = {
-                        job_id: replay.evicted[job_id]
-                        for job_id in evicted_owners.get(shard.index, [])
-                    }
-                    shard_stats = shard.queue.restore(states, evicted)
-                    for key, value in shard_stats.items():
-                        stats[key] += value
+            stats = self.queue.restore(list(replay.jobs.values()), replay.evicted)
             # Compact from the *restored* live state, not the raw
             # replay: restore appends provenance events ("retried") the
             # old log never saw, and the snapshot must keep event
             # sequences contiguous for ``?since=`` resume.
-            states: list[dict[str, Any]] = []
-            evicted_all: dict[str, float] = {}
-            for shard in self.shards:
-                shard_states, shard_evicted = shard.queue.snapshot_state()
-                states.extend(shard_states)
-                evicted_all.update(shard_evicted)
+            states, evicted = self.queue.snapshot_state()
             self.journal.compact(
                 JournalReplay(
                     jobs={state["job_id"]: state for state in states},
-                    evicted=evicted_all,
+                    evicted=evicted,
                     records=replay.records,
                     torn=replay.torn,
                     segments=replay.segments,
@@ -483,8 +405,7 @@ class PlanningService:
         drain-then-stop never throws away completed epochs.
         """
         self._draining = True
-        for shard in self.shards:
-            shard.bridge.request_drain()
+        self.bridge.request_drain()
 
     def stop(self, drain: bool = True, timeout: float | None = 30.0) -> None:
         """Graceful shutdown: reject new work, drain, then close HTTP.
@@ -498,8 +419,7 @@ class PlanningService:
                 self.journal.close()
             return
         self.drain()
-        for shard in self.shards:
-            shard.bridge.stop(drain=drain, timeout=timeout)
+        self.bridge.stop(drain=drain, timeout=timeout)
         if self._loop is not None and not self._loop.is_closed():
             future = asyncio.run_coroutine_threadsafe(
                 self._shutdown_async(), self._loop
@@ -580,8 +500,7 @@ class PlanningService:
         while True:
             await asyncio.sleep(interval)
             with activate_metrics(self.metrics):
-                for shard in self.shards:
-                    shard.queue.evict_expired()
+                self.queue.evict_expired()
 
     # -- HTTP plumbing --------------------------------------------------
 
@@ -705,11 +624,12 @@ class PlanningService:
         task from ``_streams`` and records a ``service.events`` span
         with its outcome, so shutdown can prove no stream was orphaned.
         """
-        queue, job = self._find_job(job_id)
+        queue = self.queue
+        job = queue.get(job_id)
         with activate(self.tracer), activate_metrics(self.metrics):
             self.metrics.counter("service.http.events.requests").inc()
             if job is None:
-                status, payload, extra = self._gone_or_unknown(queue, job_id)
+                status, payload, extra = self._gone_or_unknown(job_id)
                 self.metrics.counter(f"service.http.status.{status}").inc()
                 await self._respond(writer, status, payload, extra)
                 return
@@ -889,7 +809,7 @@ class PlanningService:
         body: bytes | None,
         normalize: Callable[[Any], tuple[dict[str, Any], int]],
     ) -> tuple[int, Any, dict[str, str]]:
-        """Admit one plan or mission submission onto its owning shard."""
+        """Admit one plan or mission submission onto the queue."""
         if self._draining:
             return 503, {"error": "service is draining; try another replica"}, {}
         try:
@@ -898,9 +818,8 @@ class PlanningService:
             return 400, {"error": f"request body is not valid JSON: {exc}"}, {}
         with span("service.admission"):
             request, priority = normalize(doc)
-            shard = self._shard_for(job_id_for(request))
             try:
-                job, created = shard.queue.submit(request, priority)
+                job, created = self.queue.submit(request, priority)
             except QueueFull as exc:
                 retry_after = self._retry_after_s()
                 return (
@@ -910,60 +829,33 @@ class PlanningService:
                 )
             except QueueClosed as exc:
                 return 503, {"error": str(exc)}, {}
-        self._observe_depths()
+        self.metrics.gauge("service.queue.depth").set(self.queue.depth())
         return (
             202,
             {
                 "job_id": job.job_id,
                 "state": job.state,
                 "deduplicated": not created,
-                "shard": shard.index,
             },
             {},
         )
-
-    def _observe_depths(self) -> None:
-        """Refresh the global and per-shard queue-depth gauges."""
-        total = 0
-        for shard in self.shards:
-            depth = shard.queue.depth()
-            total += depth
-            self.metrics.gauge(f"service.shard.{shard.index}.queue.depth").set(
-                depth
-            )
-        self.metrics.gauge("service.queue.depth").set(total)
 
     def _retry_after_s(self) -> int:
         """Backlog-drain estimate from the job-duration histogram."""
         hist = self.metrics.histogram("service.job_duration_s")
         mean_s = hist.mean if hist.count else 1.0
-        backlog = 0
-        for shard in self.shards:
-            counts = shard.queue.counts()
-            backlog += counts["queued"] + counts["running"]
-        dispatchers = sum(shard.bridge.dispatchers for shard in self.shards)
-        estimate = mean_s * max(1, backlog) / max(1, dispatchers)
+        counts = self.queue.counts()
+        backlog = counts["queued"] + counts["running"]
+        estimate = mean_s * max(1, backlog) / max(1, self.bridge.dispatchers)
         return max(1, math.ceil(estimate))
 
-    def _aggregate_counts(self) -> dict[str, int]:
-        total: dict[str, int] = {}
-        for shard in self.shards:
-            for state, count in shard.queue.counts().items():
-                total[state] = total.get(state, 0) + count
-        return total
-
     def _get_healthz(self, body: bytes | None) -> tuple[int, Any, dict[str, str]]:
-        counts = self._aggregate_counts()
+        counts = self.queue.counts()
         doc = {
             "status": "draining" if self._draining else "ok",
             "jobs": counts,
             "queue_depth": counts["queued"],
-            "dispatchers": sum(s.bridge.dispatchers for s in self.shards),
-            "service_workers": self.service_workers,
-            "shards": [
-                {"shard": s.index, "queue_depth": s.queue.depth()}
-                for s in self.shards
-            ],
+            "dispatchers": self.bridge.dispatchers,
             "active_streams": len(self._streams),
             "uptime_s": (
                 time.monotonic() - self._started_at if self._started_at else 0.0
@@ -982,7 +874,7 @@ class PlanningService:
         return (503 if self._draining else 200), doc, {}
 
     def _get_metrics(self, body: bytes | None) -> tuple[int, Any, dict[str, str]]:
-        self._observe_depths()
+        self.metrics.gauge("service.queue.depth").set(self.queue.depth())
         return 200, self.metrics.snapshot(), {}
 
     def _get_tracez(self, body: bytes | None) -> tuple[int, Any, dict[str, str]]:
@@ -999,25 +891,17 @@ class PlanningService:
 
     def _get_jobs(self, body: bytes | None) -> tuple[int, Any, dict[str, str]]:
         now = time.monotonic()
-        entries = []
-        for shard in self.shards:
-            for job in shard.queue.jobs():
-                entry = job.to_dict(now)
-                entry["shard"] = shard.index
-                entries.append((job.submitted_at, job.job_id, entry))
-        entries.sort(key=lambda item: item[:2])
+        jobs = sorted(self.queue.jobs(), key=lambda job: (job.submitted_at, job.job_id))
         return (
             200,
             {
-                "counts": self._aggregate_counts(),
-                "jobs": [entry for _, _, entry in entries],
+                "counts": self.queue.counts(),
+                "jobs": [job.to_dict(now) for job in jobs],
             },
             {},
         )
 
-    def _gone_or_unknown(
-        self, queue: JobQueue, job_id: str
-    ) -> tuple[int, Any, dict[str, str]]:
+    def _gone_or_unknown(self, job_id: str) -> tuple[int, Any, dict[str, str]]:
         """404 for never-seen ids, typed ``410 expired`` for TTL-evicted.
 
         A client that polls too slowly must be able to distinguish "you
@@ -1025,7 +909,7 @@ class PlanningService:
         retrying the former is useless, resubmitting the latter works
         (content-address dedup gives it the same job id).
         """
-        evicted_at = queue.evicted_at(job_id)
+        evicted_at = self.queue.evicted_at(job_id)
         if evicted_at is not None:
             return (
                 410,
@@ -1041,17 +925,17 @@ class PlanningService:
     def _get_job(
         self, body: bytes | None, job_id: str
     ) -> tuple[int, Any, dict[str, str]]:
-        queue, job = self._find_job(job_id)
+        job = self.queue.get(job_id)
         if job is None:
-            return self._gone_or_unknown(queue, job_id)
+            return self._gone_or_unknown(job_id)
         return 200, job.to_dict(time.monotonic()), {}
 
     def _get_result(
         self, body: bytes | None, job_id: str
     ) -> tuple[int, Any, dict[str, str]]:
-        queue, job = self._find_job(job_id)
+        job = self.queue.get(job_id)
         if job is None:
-            return self._gone_or_unknown(queue, job_id)
+            return self._gone_or_unknown(job_id)
         if job.state == "done":
             return 200, job.result, {}
         if job.state == "failed":
@@ -1063,10 +947,10 @@ class PlanningService:
     def _post_cancel(
         self, body: bytes | None, job_id: str
     ) -> tuple[int, Any, dict[str, str]]:
-        queue, job = self._find_job(job_id)
+        job = self.queue.get(job_id)
         if job is None:
-            return self._gone_or_unknown(queue, job_id)
-        if queue.cancel(job_id):
+            return self._gone_or_unknown(job_id)
+        if self.queue.cancel(job_id):
             return 200, {"job_id": job_id, "state": "cancelled"}, {}
         return (
             409,

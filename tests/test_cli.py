@@ -190,6 +190,24 @@ class TestServeCommand:
         (stub,) = _StubService.instances
         assert stub.kwargs["dispatchers"] == 3
 
+    def test_benchmark_command_line_is_one_queue_with_two_dispatchers(self):
+        """``--service-workers`` only multiplies the dispatcher count of
+        the one job queue the service runs."""
+        assert main([
+            "serve", "--port", "0", "--service-workers", "2", "--workers", "1",
+        ]) == 0
+        (stub,) = _StubService.instances
+        assert stub.kwargs["dispatchers"] == 2
+        assert "service_workers" not in stub.kwargs
+
+    @pytest.mark.parametrize("argv", [
+        ["loadgen", "--service-workers", "2"],
+        ["report", "--load-service-workers", "2"],
+    ])
+    def test_shard_options_are_gone(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestSubmitCommand:
     @pytest.fixture(scope="class")

@@ -99,8 +99,7 @@ class TestServiceRestart:
             job_id = submitted["job_id"]
             client.wait(job_id, timeout=30.0)
             time.sleep(0.1)
-            for shard in svc.shards:
-                shard.queue.evict_expired()
+            svc.queue.evict_expired()
             with pytest.raises(JobExpiredError) as exc:
                 client.status(job_id)
             assert exc.value.evicted_at is not None
@@ -118,8 +117,7 @@ class TestServiceRestart:
             job_id = submitted["job_id"]
             client.wait(job_id, timeout=30.0)
             time.sleep(0.1)
-            for shard in svc.shards:
-                shard.queue.evict_expired()
+            svc.queue.evict_expired()
 
         with service_on(tmp_path, runner=echo_runner) as svc:
             client = ServiceClient(port=svc.port, retries=3)

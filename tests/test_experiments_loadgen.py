@@ -2,10 +2,10 @@
 
 Determinism is the product here: the schedule must be a pure function
 of the config, the canonical summary must be byte-identical across
-repeated runs *and* across fleets with different worker counts, and
-the correctness checks (dedup exactness, zero 5xx, Retry-After) must
-actually be able to fail - the 429 test drives a deliberately
-undersized fleet into overload and watches the contract hold.
+repeated runs *and* across services with different dispatcher counts,
+and the correctness checks (dedup exactness, zero 5xx, Retry-After)
+must actually be able to fail - the 429 test drives a deliberately
+undersized service into overload and watches the contract hold.
 """
 
 import time
@@ -103,7 +103,7 @@ class TestAgainstFleet:
 
     def test_all_checks_pass_and_dedup_is_exact(self):
         summary = run_loadgen_fleet(
-            LoadgenConfig(**self.CFG), service_workers=2, runner=echo_runner
+            LoadgenConfig(**self.CFG), runner=echo_runner
         )
         canonical = summary["canonical"]
         assert canonical["dedup_exact"]
@@ -122,7 +122,7 @@ class TestAgainstFleet:
     def test_byte_identical_across_runs_and_worker_counts(self):
         config = LoadgenConfig(**self.CFG)
         runs = [
-            run_loadgen_fleet(config, service_workers=n, runner=echo_runner)
+            run_loadgen_fleet(config, dispatchers=n, runner=echo_runner)
             for n in (1, 2, 1)
         ]
         payloads = {summary_bytes(s) for s in runs}
@@ -143,7 +143,6 @@ class TestAgainstFleet:
 
         summary = run_loadgen_fleet(
             config,
-            service_workers=1,
             dispatchers=1,
             capacity=3,
             runner=slow_runner,
@@ -154,11 +153,11 @@ class TestAgainstFleet:
         assert summary["canonical"]["all_clients_completed"]
         assert loadgen_passed(summary)
 
-    def test_1000_concurrent_clients_against_2_shard_fleet(self):
-        """The acceptance-criterion scale: >=1000 clients, 2 shards.
+    def test_1000_concurrent_clients_against_one_queue(self):
+        """The acceptance-criterion scale: >=1000 clients, one job queue.
 
         The planner is swapped for a deterministic echo runner so the
-        test exercises the serving stack (admission, routing, dedup,
+        test exercises the serving stack (admission, dedup,
         backpressure, result fan-out) at full scale without paying for
         1000 real solves.
         """
@@ -170,9 +169,7 @@ class TestAgainstFleet:
             stream_every=100,
             timeout_s=120.0,
         )
-        summary = run_loadgen_fleet(
-            config, service_workers=2, runner=echo_runner
-        )
+        summary = run_loadgen_fleet(config, runner=echo_runner)
         canonical = summary["canonical"]
         assert canonical["clients"] == 1000
         assert canonical["uniques"] == 100
@@ -189,7 +186,7 @@ class TestAgainstFleet:
             clients=20, duplicate_fraction=0.5, seed=2, timeout_s=30.0
         )
         with PlanningService(
-            port=0, service_workers=2, dispatchers=2, runner=echo_runner
+            port=0, dispatchers=2, runner=echo_runner
         ) as svc:
             summary = run_loadgen(config, port=svc.port)
         assert summary["canonical"]["dedup_exact"]
@@ -201,7 +198,6 @@ class TestRendering:
     def test_render_and_canonical_bytes(self):
         summary = run_loadgen_fleet(
             LoadgenConfig(clients=15, seed=1, timeout_s=30.0),
-            service_workers=1,
             runner=echo_runner,
         )
         text = render_loadgen(summary)
@@ -217,7 +213,7 @@ class TestCli:
         from repro.cli import main
 
         with PlanningService(
-            port=0, service_workers=2, dispatchers=2, runner=echo_runner
+            port=0, dispatchers=2, runner=echo_runner
         ) as svc:
             out = tmp_path / "load.json"
             code = main([

@@ -422,6 +422,28 @@ class TestOneFormula:
         assert traj.distances_between(0.0, 0.5).tolist() == [1.0]
         assert traj.distances_between(0.0, np.array([0.25])).tolist() == [0.5]
 
+    # A robot that flies from (0, 0) to (1, 0), then jumps to (1, 5) at t = 1.
+    JUMP_AT_END = ([0, 3], [0.0, 1.0, 1.0], [[0, 0], [1, 0], [1, 5]], 0.0, 2.0)
+
+    def test_distance_flown_up_to_a_jump_at_the_end(self):
+        # The jump at t1 is still ahead: [0, 1] reads the flown 1.0, not
+        # the 5.099 of a straight line to the post-jump point.
+        traj = SwarmTrajectory(*self.JUMP_AT_END)
+        assert traj.distances_between(0.0, 1.0).tolist() == [1.0]
+        assert traj.distances_between(0.0, np.array([1.0])).tolist() == [1.0]
+        assert traj.distances_between(0.0, 2.0).tolist() == [6.0]
+        assert traj.distances_between(1.0, 2.0).tolist() == [0.0]
+
+    def test_positions_of_scalar_query(self):
+        traj = SwarmTrajectory(*self.JUMP_AT_END)
+        for t in (-1.0, 0.5, 1.0, 3.0):
+            for side in ("right", "left"):
+                got = traj.positions_of(0, t, side=side)
+                assert got.shape == (2,)
+                assert oracle.same_bits(got, traj.positions_of([0], [t], side=side)[0])
+        assert traj.positions_of(0, 1.0, side="left").tolist() == [1.0, 0.0]
+        assert traj.positions_of(np.int64(0), np.float64(0.5)).tolist() == [0.5, 0.0]
+
 
 def test_one_trajectory_layout():
     """Swarm motion has one representation: the ragged arrays of

@@ -155,29 +155,28 @@ class TestConcurrentDeduplication:
         assert accepted == 4
 
 
-class TestShardedFleetE2E:
-    """The same dedup contract against a 2-shard fleet.
+class TestSecondServiceE2E:
+    """The same dedup contract on a second, fresh service.
 
     Runs last in the module so the shared service cache is warm: the
-    fleet re-solves the 16-submission matrix through real planners but
-    every disk-map entry is already present, keeping this test-sized.
+    fresh service re-solves the 16-submission matrix through real
+    planners but every disk-map entry is already present, keeping this
+    test-sized.
     """
 
-    def test_16_submissions_on_2_shards_exactly_4_solves(self, service):
+    def test_16_submissions_on_a_fresh_service_exactly_4_solves(self, service):
         with PlanningService(
             port=0,
             dispatchers=2,
             capacity=32,
-            service_workers=2,
             cache=service.cache,
-        ) as fleet:
-            client = ServiceClient(port=fleet.port, timeout=60.0)
-            single = ServiceClient(port=service.port, timeout=60.0)
+        ) as fresh:
+            client = ServiceClient(port=fresh.port, timeout=60.0)
+            first = ServiceClient(port=service.port, timeout=60.0)
             scenario_ids = (1, 2, 4, 5)
             before = client.metrics()
 
             job_ids = []
-            shards = {}
             errors = []
             lock = threading.Lock()
 
@@ -193,7 +192,7 @@ class TestShardedFleetE2E:
                     )
                     with lock:
                         job_ids.append(submitted["job_id"])
-                        shards[submitted["job_id"]] = submitted["shard"]
+                        assert "shard" not in submitted
                 except Exception as exc:
                     with lock:
                         errors.append(exc)
@@ -225,15 +224,12 @@ class TestShardedFleetE2E:
                 )
                 assert delta == expected, name
 
-            # Routing agrees with the service's own router, and the
-            # fleet's results are byte-identical to the single-shard
-            # service's for the same requests.
+            # The fresh service's results are byte-identical to the
+            # first service's for the same requests.
             for job_id in set(job_ids):
-                expected_shard = fleet._router.shard_for(job_id)
-                assert shards[job_id] == expected_shard
-                fleet_bytes = client.result_bytes(job_id)
+                fresh_bytes = client.result_bytes(job_id)
                 request = client.status(job_id)["request"]
-                resubmitted = single.submit(
+                resubmitted = first.submit(
                     request["scenario_ids"],
                     separation_factor=10.0,
                     methods=["Hungarian"],
@@ -242,9 +238,12 @@ class TestShardedFleetE2E:
                     resolution=8,
                 )
                 assert resubmitted["job_id"] == job_id
-                single.wait(job_id, timeout=600.0, poll_s=0.2)
-                assert single.result_bytes(job_id) == fleet_bytes
+                first.wait(job_id, timeout=600.0, poll_s=0.2)
+                assert first.result_bytes(job_id) == fresh_bytes
 
             health = client.healthz()
-            assert health["service_workers"] == 2
-            assert len(health["shards"]) == 2
+            assert health["dispatchers"] == 2
+            assert "shards" not in health and "service_workers" not in health
+            listed = client.jobs()["jobs"]
+            assert {job["job_id"] for job in listed} == set(job_ids)
+            assert all("shard" not in job for job in listed)

@@ -35,9 +35,8 @@ def gate():
 def service(gate):
     svc = PlanningService(
         port=0,
-        dispatchers=1,
+        dispatchers=2,
         capacity=8,
-        service_workers=2,
         runner=make_gate_runner(gate),
     )
     svc.events_poll_s = 0.01
@@ -98,7 +97,9 @@ class TestHappyPath:
         seqs = [e["seq"] for e in events]
         assert seqs == sorted(seqs)
         claimed = next(e for e in events if e["kind"] == "claimed")
-        assert claimed["shard"] == submitted["shard"]
+        # One job queue: neither the 202 body nor the claim names a shard.
+        assert set(claimed) == {"seq", "kind", "queue_wait_s"}
+        assert set(submitted) == {"job_id", "state", "deduplicated"}
         assert claimed["queue_wait_s"] >= 0.0
         solve = next(e for e in events if e.get("phase") == "solve")
         assert solve["duration_s"] > 0.0
@@ -201,7 +202,7 @@ class TestSlowConsumer:
         assert wait_for(lambda: len(service._streams) == 1)
         # Flood the stream while the consumer reads nothing: once the
         # kernel buffers fill, the server's drain deadline must fire.
-        queue = service._shard_for(job_id).queue
+        queue = service.queue
         blob = "x" * 8192
         for _ in range(2048):
             if not service._streams:
@@ -249,7 +250,6 @@ class TestDrainAndShutdownMidStream:
             port=0,
             dispatchers=1,
             capacity=8,
-            service_workers=1,
             runner=make_gate_runner(gate),
         )
         svc.events_poll_s = 0.01

@@ -1,14 +1,21 @@
 """Unit tests for the service job store: admission, dedup, TTL, claims."""
 
 import threading
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ServiceError
+from repro.io import dumps_canonical
+from repro.obs import activate_metrics
 from repro.service import (
     JobQueue,
+    PlanningService,
     QueueClosed,
     QueueFull,
+    job_id_for,
     normalize_plan_request,
 )
 
@@ -229,3 +236,133 @@ class TestStatusDocument:
         assert doc["run_s"] == pytest.approx(3.0)
         assert doc["request"]["scenario_ids"] == [1]
         assert "result" not in doc
+
+
+def _normalized(scenario_id: int, separation: float) -> dict:
+    normalized, _ = normalize_plan_request({
+        "scenario_ids": [scenario_id],
+        "separation_factor": separation,
+        "methods": ["ours (a)"],
+        "foi_target_points": 50,
+        "lloyd_grid_target": 100,
+        "resolution": 8,
+    })
+    return normalized
+
+
+#: 4 unique requests, each submitted 4 times = the e2e dedup matrix.
+_POOL = [
+    _normalized(1, 5.0),
+    _normalized(2, 5.0),
+    _normalized(4, 10.0),
+    _normalized(5, 10.0),
+]
+_SUBMISSIONS = [i for i in range(4) for _ in range(4)]
+
+
+def _echo_runner(request):
+    """Deterministic stand-in for the planner (pure function of input)."""
+    return {"echo": request, "format_version": 1}
+
+
+def _run_service(dispatchers: int, order) -> tuple[dict, int, int]:
+    """Submit the matrix in the given order; return (results, solved, dedup).
+
+    Drives the service's real JobQueue -> ExecutorBridge stack (the
+    HTTP thread plays no part in dedup, so it stays down).
+    """
+    svc = PlanningService(port=0, dispatchers=dispatchers, runner=_echo_runner)
+    svc.bridge.start()
+    try:
+        job_ids = []
+        # The HTTP layer submits under the service's metrics registry;
+        # direct submission must activate it the same way for the
+        # dedup counter to land there.
+        with activate_metrics(svc.metrics):
+            for index in order:
+                job, _created = svc.queue.submit(_POOL[index])
+                job_ids.append(job.job_id)
+        assert len(set(job_ids)) == len(_POOL)
+        deadline = time.monotonic() + 30.0
+        results = {}
+        for job_id in set(job_ids):
+            while True:
+                job = svc.queue.get(job_id)
+                if job is not None and job.terminal:
+                    assert job.state == "done", job.error
+                    results[job_id] = job.result
+                    break
+                if time.monotonic() > deadline:
+                    raise AssertionError(f"job {job_id} never finished")
+                time.sleep(0.005)
+        snapshot = svc.metrics.snapshot()
+        solved = snapshot["service.jobs.solved"]["value"]
+        dedup = snapshot.get("service.jobs.deduplicated", {}).get("value", 0)
+        return results, solved, dedup
+    finally:
+        svc.bridge.stop(drain=False, timeout=5.0)
+
+
+class TestOneQueueDedup:
+    """Dedup is invisible in results: any dispatcher count and any
+    submission order give byte-identical documents, exactly one solve
+    per unique content address and the same dedup count."""
+
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(order=st.permutations(_SUBMISSIONS))
+    def test_any_worker_count_any_order_same_bytes_one_solve_each(
+        self, order
+    ):
+        reference = None
+        for dispatchers in (1, 2, 4):
+            results, solved, dedup = _run_service(dispatchers, order)
+            assert solved == len(_POOL)
+            assert dedup == len(_SUBMISSIONS) - len(_POOL)
+            if reference is None:
+                reference = results
+            else:
+                assert results == reference  # byte-identical documents
+
+    def test_results_match_direct_runner_output(self):
+        results, solved, _dedup = _run_service(2, _SUBMISSIONS)
+        assert solved == len(_POOL)
+        for request in _POOL:
+            job_id = job_id_for(request)
+            assert results[job_id] == dumps_canonical(_echo_runner(request))
+
+    def test_concurrent_submitters_race_to_one_creator(self):
+        """16 threads submitting 4 uniques to one service: exactly one
+        creator per unique, regardless of interleaving."""
+        svc = PlanningService(port=0, dispatchers=2, runner=_echo_runner)
+        svc.bridge.start()
+        try:
+            created_flags = []
+            lock = threading.Lock()
+
+            def submit(index):
+                _job, created = svc.queue.submit(_POOL[index])
+                with lock:
+                    created_flags.append((index, created))
+
+            threads = [
+                threading.Thread(target=submit, args=(i,))
+                for i in _SUBMISSIONS
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10.0)
+            assert len(created_flags) == len(_SUBMISSIONS)
+            for index in range(len(_POOL)):
+                creators = [
+                    created
+                    for i, created in created_flags
+                    if i == index and created
+                ]
+                assert len(creators) == 1
+        finally:
+            svc.bridge.stop(drain=False, timeout=5.0)

@@ -1,7 +1,7 @@
 """Service-side mission jobs: POST /v1/mission, SSE streaming, resume.
 
-The contract under test: a fixed-seed mission run through a sharded
-fleet produces a result document byte-identical to the in-process
+The contract under test: a fixed-seed mission run through the service
+produces a result document byte-identical to the in-process
 :class:`~repro.missions.MissionRunner` run, its SSE stream delivers
 ``epoch``/``plan_diff`` events in order, and the client's
 ``iter_events`` survives a mid-stream disconnect by resuming from the
@@ -37,9 +37,7 @@ def local_doc():
 
 @pytest.fixture(scope="module")
 def service():
-    svc = PlanningService(
-        port=0, service_workers=2, dispatchers=2, capacity=16
-    )
+    svc = PlanningService(port=0, dispatchers=2, capacity=16)
     svc.events_poll_s = 0.01
     with svc:
         yield svc
@@ -97,7 +95,7 @@ class TestSinceParam:
 
 
 class TestMissionJobs:
-    def test_sharded_fleet_is_byte_identical_to_in_process(
+    def test_service_is_byte_identical_to_in_process(
         self, service, client, local_doc
     ):
         events = []

@@ -52,7 +52,8 @@ def left(xy, times, ts):
 
 
 def length_between(xy, times, t0, t1):
-    """Distance travelled over ``[t0, t1]``."""
+    """Distance travelled over ``[t0, t1]``: from the right limit at
+    ``t0`` to the left limit at ``t1``."""
     if t1 <= t0 or len(xy) == 1:
         return 0.0
     inside = (times > t0) & (times < t1)
@@ -60,7 +61,7 @@ def length_between(xy, times, t0, t1):
         [
             right(xy, times, [t0]),
             xy[inside],
-            right(xy, times, [t1]),
+            left(xy, times, [t1]),
         ]
     )
     return polyline_length(pts)
